@@ -32,6 +32,7 @@ pub struct LsTree<const D: usize> {
     io: Arc<IoStats>,
     pub(crate) salt: u64,
     /// Mutation counter driving the sampled debug audit cadence.
+    #[cfg(debug_assertions)]
     audit_ops: u64,
 }
 
@@ -80,6 +81,7 @@ impl<const D: usize> LsTree<D> {
             cfg,
             io,
             salt,
+            #[cfg(debug_assertions)]
             audit_ops: 0,
         }
     }

@@ -9,42 +9,58 @@
 //!
 //! ## Protocol
 //!
+//! There is one conversation — a coordinator asks shard workers for counts
+//! and sample batches — and one command set for it. Every command names a
+//! *batch* of sessions, so the same three messages serve a single query
+//! (batches of one) and the multi-session scheduler (a tick's worth):
+//!
+//! | command (`ShardCmd`)    | carries                          | reply ([`ShardReply`])                 |
+//! |-------------------------|----------------------------------|----------------------------------------|
+//! | `OpenMany`              | [`OpenReq`]s + hook, reply sender | `Opens`: one [`SessionOpen`] count each |
+//! | `FillMany`              | [`FillReq`]s `{session, n, seq}`  | `Batches`: one [`SessionBatch`] each    |
+//! | `CloseMany`             | session ids                      | —                                      |
+//! | `Swap` / `Shutdown`     | a re-frozen shard tree / nothing | —                                      |
+//!
 //! Every stream carries a cluster-unique **session** id (allocated from an
 //! atomic counter, so [`ParallelRsCluster::sampler`] needs only `&self`
 //! and any number of streams can run concurrently over the same worker
 //! pool). A worker keeps a table of open streams keyed by session: the
 //! frozen-shard sampler, its seeded RNG, and its replay cache all live in
-//! the table entry, and every entry carries its *own* reply channel
-//! (handed over in the `Open`), so concurrent coordinators can never
-//! steal each other's replies.
+//! the table entry, and every entry carries the reply channel handed over
+//! in its open, so concurrent coordinators can never steal each other's
+//! replies. Replies echo `(shard, session, seq)`; coordinators route by
+//! those tags, never by arrival order.
 //!
-//! Per query the coordinator scatters [`ShardCmd::Open`] (query, mode, a
-//! per-shard RNG seed, the session id, and the reply sender) and collects
-//! each shard's exact partial count. Each `next_batch(k)` call then runs
-//! three phases:
+//! Per query the coordinator opens the session on every shard (query,
+//! mode, session seed — each worker derives its own stream seed) and
+//! collects each shard's exact partial count. Each round then runs three
+//! phases:
 //!
 //! 1. **draw** — the coordinator draws `k` shard indices from the
 //!    remaining-count multinomial (the identical bookkeeping the sequential
 //!    gather applies per draw, just run as a block);
-//! 2. **scatter/gather** — each shard owing `n > 0` samples receives one
-//!    [`ShardCmd::Fill`]`{session, n, seq}` and answers with a batch drawn
-//!    by its local batched kernel ([`crate::SpatialSampler::next_batch`]);
+//! 2. **scatter/gather** — each shard owing `n > 0` samples receives a
+//!    [`FillReq`]`{session, n, seq}` and answers with a batch drawn by its
+//!    local batched kernel ([`crate::SpatialSampler::next_batch`]);
 //! 3. **merge** — replies are interleaved following the drawn index
 //!    sequence, *not* arrival order.
 //!
 //! Phases 1 and 3 — plus the prefetch request arithmetic — live in the
-//! sans-I/O [`StreamCore`] state machine. [`ParallelSampler`] drives one
-//! core with blocking per-shard channels; the multi-session scheduler in
-//! `storm-server` drives many cores at once over one shared reply
-//! channel, coalescing every runnable session's fill requests into one
-//! [`ShardCmd::FillMany`] per shard per tick (answered by one
-//! [`ShardReply::Batches`]), which amortizes channel and wakeup overhead
-//! across co-tenant queries. The session lifecycle coalesces the same
-//! way: one [`ShardCmd::OpenMany`] per shard opens a whole admission
-//! batch (answered by one [`ShardReply::Opens`] of counts) and one
-//! [`ShardCmd::CloseMany`] per shard tears down every session finished
-//! since the last flush, so per-session channel cost is O(1) amortized
-//! rather than O(shards).
+//! sans-I/O [`StreamCore`] state machine, and both coordinators reach the
+//! workers through the same [`ParallelRsCluster`] entry points
+//! (`open_many`, `fill_many`, `close_many`). [`ParallelSampler`] is a
+//! session of one: it drives one core over private per-shard reply
+//! channels and blocks on each gather. The multi-session scheduler in
+//! `storm-server` drives many cores at once over one shared reply channel,
+//! coalescing every runnable session's requests into one message per shard
+//! per tick — opens, fills and closes alike — which amortizes channel and
+//! wakeup overhead across co-tenant queries: per-session channel cost is
+//! O(1) amortized rather than O(shards).
+//!
+//! The module is split along those seams: `protocol` (message types),
+//! `worker` (the shard loop and stream table), `cluster` (the handle and
+//! its entry points), `stream_core` (the round state machine) and
+//! `sampler` (the session-of-one coordinator and its gathers).
 //!
 //! ## Why the distribution is unchanged
 //!
@@ -76,24 +92,24 @@
 //!   `catch_unwind`, so a panic (genuine or injected) poisons only the one
 //!   stream it hit, never the shard's tree or any co-tenant stream: the
 //!   poisoned entry keeps its reply channel, answers every later fill with
-//!   [`ShardReply::Aborted`], and the worker keeps serving everything
-//!   else. [`ParallelRsCluster::join`] reassembles the cluster without
+//!   `items: None`, and the worker keeps serving everything else. [`ParallelRsCluster::join`] reassembles the cluster without
 //!   `resume_unwind`.
 //! - **Timeout + bounded retry** — when recovery is active (a
-//!   [`FaultHook`] is installed or a [`RetryPolicy`] was set), gathers use
+//!   [`FaultHook`](storm_faultkit::FaultHook) is installed or a [`RetryPolicy`](storm_faultkit::RetryPolicy) was set), gathers use
 //!   `recv_timeout` with exponential backoff and re-send the *same*
 //!   sequence number; workers cache the last served batch per stream and
 //!   replay it on a duplicate `seq`, so a retried fill can never advance a
-//!   without-replacement stream twice. With recovery inactive the gather
-//!   path is the original blocking `recv` — zero overhead.
+//!   without-replacement stream twice. With recovery inactive the same
+//!   gathers make one blocking attempt — no timers, and a dead worker
+//!   still wakes them by disconnecting the stream's private channel.
 //! - **Graceful degradation** — a shard that exhausts its retries (or
 //!   aborts, or disconnects) is written out of the query: its remaining
 //!   mass is removed from the draw weights, the stream continues over the
-//!   survivors, and the loss is recorded in a [`DegradedInfo`] surfaced
+//!   survivors, and the loss is recorded in a [`DegradedInfo`](storm_faultkit::DegradedInfo) surfaced
 //!   through [`crate::SpatialSampler::degraded`] so the estimator layer
 //!   can widen its confidence interval by the missing-mass bound.
 //!
-//! Fault injection itself lives in `storm-faultkit`: a [`FaultHook`] is a
+//! Fault injection itself lives in `storm-faultkit`: a [`FaultHook`](storm_faultkit::FaultHook) is a
 //! pure function of `(site, shard, op)`, so an injected schedule of drops,
 //! panics, and delays replays identically run over run — the fault-matrix
 //! suite exercises exactly that.
@@ -109,2226 +125,14 @@
 //! stress test (`dropped_send_counter_is_exact_under_contention`) driven
 //! by `storm_testkit::stress_concurrent`.
 
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
-use storm_faultkit::{DegradedInfo, FailReason, FaultHook, FaultKind, FaultSite, RetryPolicy};
-use storm_geo::curve::HilbertCurve;
-use storm_geo::Rect2;
-use storm_rtree::Item;
-
-use crate::rs_tree::RsTree;
-use crate::{mix64, DistributedRsTree, FrozenSampler, SampleMode, SamplerKind, SpatialSampler};
-
-/// Everything a worker needs to open one sampling stream.
-struct OpenArgs {
-    /// The range query.
-    query: Rect2,
-    /// With or without replacement.
-    mode: SampleMode,
-    /// Seed for the worker's stream-local RNG.
-    seed: u64,
-    /// Coordinator-assigned stream identity; the worker's stream-table key,
-    /// echoed by every reply so coordinators can route by tag.
-    session: u64,
-    /// Fault-injection hook for this stream (test/chaos runs only).
-    hook: Option<Arc<dyn FaultHook>>,
-    /// Whether the coordinator may retry fills: enables the worker-side
-    /// batch replay cache (skipped entirely on the fast path).
-    recover: bool,
-    /// Where this stream's replies go. Each coordinator hands every stream
-    /// its own channel, so concurrent sessions never share a reply queue
-    /// (the multi-session scheduler deliberately passes one shared channel
-    /// for all *its* sessions and routes by the echoed tags).
-    reply: Sender<ShardReply>,
-}
-
-/// Everything a worker needs to serve one coalesced [`ShardCmd::OpenMany`]:
-/// the per-session specs (stream seeds already shard-derived) plus the
-/// batch-shared plumbing — one hook, one recover flag, one reply channel.
-struct OpenManyArgs {
-    /// One spec per opening session, in admission order.
-    reqs: Vec<OpenSpec>,
-    /// Fault-injection hook shared by the whole batch.
-    hook: Option<Arc<dyn FaultHook>>,
-    /// Whether fills may be retried (enables the replay cache).
-    recover: bool,
-    /// The one channel every stream in the batch replies on.
-    reply: Sender<ShardReply>,
-}
-
-/// One session's shard-local slice of an [`OpenManyArgs`] batch.
-struct OpenSpec {
-    /// Coordinator-assigned stream identity.
-    session: u64,
-    /// The range query.
-    query: Rect2,
-    /// With or without replacement.
-    mode: SampleMode,
-    /// Stream seed, already derived for this shard.
-    seed: u64,
-}
-
-/// One session's slice of a coalesced [`ShardCmd::FillMany`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FillReq {
-    /// The stream to draw from.
-    pub session: u64,
-    /// Samples owed to this session this round.
-    pub n: usize,
-    /// The session's scatter-round number (its retry/replay key).
-    pub seq: u64,
-}
-
-/// One session's slice of a coalesced [`ShardCmd::OpenMany`].
-#[derive(Debug, Clone, Copy)]
-pub struct OpenReq {
-    /// Coordinator-assigned stream identity.
-    pub session: u64,
-    /// The range query.
-    pub query: Rect2,
-    /// With or without replacement.
-    pub mode: SampleMode,
-    /// The *session* seed; [`ParallelRsCluster::open_many`] derives each
-    /// shard's stream seed from it exactly as the per-session open does,
-    /// so coalesced and sequential opens produce identical streams.
-    pub seed: u64,
-}
-
-/// One session's slice of a coalesced [`ShardReply::Opens`].
-#[derive(Debug, Clone, Copy)]
-pub struct SessionOpen {
-    /// The opened stream.
-    pub session: u64,
-    /// The shard's exact `|P_s ∩ Q|`, or `None` when the open panicked
-    /// and the stream is stillborn (the coalesced analogue of
-    /// [`ShardReply::Aborted`]).
-    pub count: Option<usize>,
-}
-
-/// One session's slice of a coalesced [`ShardReply::Batches`].
-#[derive(Debug, Clone)]
-pub struct SessionBatch {
-    /// The stream the batch belongs to.
-    pub session: u64,
-    /// Echo of the fill's scatter-round number.
-    pub seq: u64,
-    /// The drawn samples, or `None` when the stream is poisoned (the
-    /// coalesced analogue of [`ShardReply::Aborted`]).
-    pub items: Option<Vec<Item<2>>>,
-}
-
-/// Coordinator → shard-worker messages.
-enum ShardCmd {
-    /// Open a sampling stream; the worker replies [`ShardReply::Opened`].
-    /// Re-sending `Open` for the same session restarts the stream
-    /// (identical seed → identical stream), which is how open-phase
-    /// retries work.
-    Open(Box<OpenArgs>),
-    /// Draw up to `n` samples from the open stream; the worker replies
-    /// [`ShardReply::Batch`] with the same `seq`/`session`. A repeated
-    /// `seq` replays the cached batch instead of advancing the stream.
-    Fill {
-        /// The stream to draw from.
-        session: u64,
-        /// Samples owed.
-        n: usize,
-        /// Scatter-round number within the stream.
-        seq: u64,
-    },
-    /// The scheduler's coalesced form: every runnable session's fill for
-    /// this shard in one message, answered by one
-    /// [`ShardReply::Batches`]. All named sessions must share one reply
-    /// channel (the scheduler invariant); the worker replies on the first
-    /// named stream's channel.
-    FillMany(Vec<FillReq>),
-    /// The scheduler's coalesced open: every session admitted at one tick
-    /// boundary opens on this shard in one message, answered by one
-    /// [`ShardReply::Opens`] carrying every count. All named sessions
-    /// share the one reply channel (the scheduler invariant).
-    OpenMany(Box<OpenManyArgs>),
-    /// Tear down one session's stream (no reply).
-    Close {
-        /// The stream to drop.
-        session: u64,
-    },
-    /// The scheduler's coalesced close: every session finished since the
-    /// last flush torn down in one message (no reply).
-    CloseMany(Vec<u64>),
-    /// Epoch handoff: replace this shard's tree with a re-frozen snapshot
-    /// (no reply). Channel FIFO order is the handoff contract: opens sent
-    /// before the swap see the old snapshot, opens sent after see the new
-    /// one, and in-flight streams keep the snapshot `Arc` they pinned at
-    /// open, so no open session ever observes the switch.
-    Swap(Box<RsTree<2>>),
-    /// Exit the worker loop, returning the shard tree to the joiner.
-    Shutdown,
-}
-
-/// Shard-worker → coordinator messages. Public so the `storm-server`
-/// scheduler can drive the session protocol directly over
-/// [`ParallelRsCluster::open_session`] / [`ParallelRsCluster::fill_many`];
-/// single-query users never see these (use [`ParallelRsCluster::sampler`]).
-#[derive(Debug)]
-pub enum ShardReply {
-    /// Stream opened; `count` is the shard's exact `|P_s ∩ Q|`.
-    Opened {
-        /// The replying shard (coordinators with a shared reply channel
-        /// route by this).
-        shard: usize,
-        /// The shard's partial result count.
-        count: usize,
-        /// Echo of the opening session.
-        session: u64,
-    },
-    /// Samples for one [`ShardCmd::Fill`] (possibly short when the shard's
-    /// stream ended).
-    Batch {
-        /// The replying shard.
-        shard: usize,
-        /// The drawn (or replayed) samples.
-        items: Vec<Item<2>>,
-        /// Echo of the fill's scatter-round number.
-        seq: u64,
-        /// Echo of the stream session.
-        session: u64,
-    },
-    /// The stream died to a contained panic. The shard's tree survives for
-    /// other streams, but this one is over: the coordinator writes the
-    /// shard off.
-    Aborted {
-        /// The replying shard.
-        shard: usize,
-        /// Session of the stream that died.
-        session: u64,
-    },
-    /// The coalesced answer to one [`ShardCmd::FillMany`]: one entry per
-    /// served session (per-session aborts ride along as `items: None`).
-    Batches {
-        /// The replying shard.
-        shard: usize,
-        /// One slice per session named in the request.
-        replies: Vec<SessionBatch>,
-    },
-    /// The coalesced answer to one [`ShardCmd::OpenMany`]: one entry per
-    /// opened session (stillborn opens ride along as `count: None`).
-    Opens {
-        /// The replying shard.
-        shard: usize,
-        /// One slice per session named in the request.
-        opens: Vec<SessionOpen>,
-    },
-}
-
-/// Typed error from [`ParallelRsCluster`] teardown paths: the shard's
-/// command channel was already disconnected (its worker thread is gone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CloseError {
-    /// Index of the unreachable shard.
-    pub shard: usize,
-}
-
-impl std::fmt::Display for CloseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {} worker unreachable (channel closed)",
-            self.shard
-        )
-    }
-}
-
-impl std::error::Error for CloseError {}
-
-/// Result of [`ParallelRsCluster::try_join`]: the reassembled sequential
-/// cluster plus any shards whose trees were lost to uncaught worker-thread
-/// panics (panics *inside* a stream are contained and never reach here).
-#[derive(Debug)]
-pub struct JoinOutcome {
-    /// The cluster rebuilt from the surviving shards, with the lost
-    /// shards' curve ranges merged into their successors.
-    pub tree: DistributedRsTree,
-    /// Indices (in pre-join numbering) of shards whose trees were lost.
-    pub lost_shards: Vec<usize>,
-}
-
-/// One shard server: the command channel plus the thread owning the
-/// shard's `RsTree`. Replies travel over per-stream channels carried in
-/// each `Open`, so the handle itself is send-only and freely shared by
-/// concurrent coordinators.
-struct WorkerHandle {
-    cmd: Sender<ShardCmd>,
-    thread: Option<JoinHandle<RsTree<2>>>,
-    /// Points owned by this shard (recorded before the move; refreshed by
-    /// epoch swaps — Relaxed, see the cluster's counter ordering policy).
-    len: AtomicUsize,
-    /// This shard's index (for fault coordinates and error reporting).
-    shard: usize,
-    /// Cluster-wide count of control sends that found a dead worker.
-    /// Ordering policy: `Relaxed` everywhere (see the module docs).
-    dropped_sends: Arc<AtomicU64>,
-}
-
-impl WorkerHandle {
-    /// Sends `Close` for one session, reporting (rather than swallowing)
-    /// an unreachable worker.
-    fn close(&self, session: u64) -> Result<(), CloseError> {
-        self.cmd
-            .send(ShardCmd::Close { session })
-            .map_err(|_| CloseError { shard: self.shard })
-    }
-
-    /// Log-and-count a control send that found the worker gone.
-    fn note_dropped_send(&self, what: &str) {
-        self.dropped_sends.fetch_add(1, Ordering::Relaxed);
-        eprintln!(
-            "storm-core: parallel: {what} to shard {} dropped (worker gone)",
-            self.shard
-        );
-    }
-}
-
-impl Drop for WorkerHandle {
-    fn drop(&mut self) {
-        if self.cmd.send(ShardCmd::Shutdown).is_err() {
-            self.note_dropped_send("shutdown");
-        }
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerHandle")
-            .field("shard", &self.shard)
-            .field("len", &self.len)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Live per-stream state in a worker's session table.
-struct StreamState {
-    /// The frozen-kernel sampler for this stream's query.
-    sampler: FrozenSampler<2>,
-    /// The stream-local seeded RNG.
-    rng: StdRng,
-    /// Fault-injection hook (test/chaos runs only).
-    hook: Option<Arc<dyn FaultHook>>,
-    /// Whether to populate the replay cache.
-    recover: bool,
-    /// Monotone count of fills received on this stream: the op coordinate
-    /// for fill-site fault decisions. A retried fill is a new op, so a
-    /// transient injected fault doesn't condemn every retry with it.
-    fill_ops: u64,
-    /// Replay cache: the last served scatter-round and its batch. A
-    /// duplicate seq means the coordinator never saw our reply and
-    /// retried; replaying the cache keeps the WOR stream exact (drawing
-    /// afresh would silently discard the cached samples). Only populated
-    /// when the coordinator can actually retry.
-    cache: Option<(u64, Vec<Item<2>>)>,
-}
-
-/// A stream's lifecycle slot in a worker's session table.
-///
-/// Streams materialise lazily: the open answers its count from an
-/// allocation-free descent ([`crate::FrozenRsTree::exact_count`]) and
-/// parks the spec; the sampler — cone carve, alias selector, stream RNG —
-/// is built on the *first fill*. Shards outside a query's support have
-/// weight 0, are never asked for samples, and therefore never build any
-/// stream state: for selective queries over many shards the open cost
-/// collapses from O(shards · sampler builds) to O(shards · count
-/// descents) + O(touched shards · sampler builds).
-enum StreamSlot {
-    /// Opened, never filled: everything needed to build the sampler on
-    /// first touch. Rebuilding from the parked spec is exact — no RNG
-    /// state advances at open time, so the stream drawn later is
-    /// identical to one built eagerly.
-    Lazy {
-        /// The shard snapshot this stream is pinned to. Captured at open
-        /// time so an epoch swap ([`ShardCmd::Swap`]) between open and
-        /// first fill cannot change the stream's view: a session always
-        /// samples the epoch it opened against, byte-identically.
-        frozen: Arc<crate::FrozenRsTree<2>>,
-        /// The range query.
-        query: Rect2,
-        /// With or without replacement.
-        mode: SampleMode,
-        /// Stream seed (already shard-derived).
-        seed: u64,
-        /// Fault-injection hook (test/chaos runs only).
-        hook: Option<Arc<dyn FaultHook>>,
-        /// Whether to populate the replay cache.
-        recover: bool,
-    },
-    /// Materialised and serving fills.
-    Ready(Box<StreamState>),
-    /// Dead to a contained panic; the entry (and its reply channel)
-    /// survives so later fills are answered `Aborted` promptly instead
-    /// of timing out.
-    Poisoned,
-}
-
-/// One entry in a worker's session table.
-struct StreamEntry {
-    /// Where this stream's replies go.
-    reply: Sender<ShardReply>,
-    /// The stream's lifecycle slot.
-    slot: StreamSlot,
-}
-
-/// What one fill against one stream produced.
-enum FillOutcome {
-    /// A batch to send back.
-    Served(Vec<Item<2>>),
-    /// An injected DropReply: the stream advanced but the reply is lost.
-    DroppedReply,
-    /// The stream is poisoned (was already, or this fill's panic was
-    /// contained and poisoned it).
-    Poisoned,
-}
-
-/// The worker loop: serve any number of concurrently open streams over
-/// the shard's own tree until shutdown, then hand the tree back through
-/// the join handle.
-///
-/// Opens and fills run under `catch_unwind`, so a panic while serving —
-/// injected by a [`FaultHook`] or genuine — poisons only the stream it
-/// hit. The tree survives, the stream's coordinator is told via
-/// [`ShardReply::Aborted`], and the worker keeps serving every other
-/// stream.
-fn run_shard(mut tree: RsTree<2>, shard: usize, cmd: &Receiver<ShardCmd>) -> RsTree<2> {
-    // Freeze once at worker start (and again per epoch swap): every stream
-    // this worker serves runs the read-optimized kernel (SoA arena + alias
-    // descents) instead of walking the boxed tree. The boxed tree is kept
-    // intact purely as the ingest-facing form handed back at join time.
-    let mut frozen = Arc::new(tree.freeze());
-    // The session table: every open stream (or poisoned husk thereof).
-    let mut streams: HashMap<u64, StreamEntry> = HashMap::new();
-    // Monotone count of streams opened on this worker: the op coordinate
-    // for open-site fault decisions.
-    let mut open_ops: u64 = 0;
-    loop {
-        // storm-analyzer: allow(A5): worker command loop — each recv is one control message (Open/FillMany/Close/Shutdown); items never travel here
-        // storm-analyzer: allow(A13): parking on the command channel IS the worker's idle state; every coordinator dropping disconnects the recv and exits below
-        let msg = match cmd.recv() {
-            Ok(m) => m,
-            Err(_) => return tree, // every coordinator dropped: exit
-        };
-        match msg {
-            ShardCmd::Shutdown => return tree,
-            ShardCmd::Swap(new_tree) => {
-                // Epoch handoff: subsequent opens snapshot the new frozen
-                // form; streams already tabled keep their pinned Arcs (in
-                // `StreamSlot::Lazy` or inside their `FrozenSampler`), so
-                // open sessions are untouched. The old snapshot is freed
-                // when its last pinning stream closes.
-                tree = *new_tree;
-                // storm-analyzer: allow(A4): one re-freeze per epoch install — a control-path event, not per-draw work
-                frozen = Arc::new(tree.freeze());
-            }
-            ShardCmd::Close { session } => {
-                streams.remove(&session);
-            }
-            ShardCmd::CloseMany(sessions) => {
-                for session in sessions {
-                    streams.remove(&session);
-                }
-            }
-            ShardCmd::Open(args) => {
-                let op = open_ops;
-                open_ops += 1;
-                open_stream(&frozen, shard, op, *args, &mut streams);
-            }
-            ShardCmd::OpenMany(args) => {
-                let next_op = serve_open_many(&frozen, shard, open_ops, *args, &mut streams);
-                open_ops = next_op;
-            }
-            ShardCmd::Fill { session, n, seq } => {
-                // A fill for an unknown session is a straggler for a
-                // stream already closed; with no reply channel left there
-                // is nobody to tell, and nobody waiting.
-                let Some(entry) = streams.get_mut(&session) else {
-                    continue;
-                };
-                let reply = match fill_stream(shard, n, seq, entry) {
-                    FillOutcome::Served(items) => Some(ShardReply::Batch {
-                        shard,
-                        items,
-                        seq,
-                        session,
-                    }),
-                    FillOutcome::DroppedReply => None,
-                    FillOutcome::Poisoned => Some(ShardReply::Aborted { shard, session }),
-                };
-                // storm-analyzer: allow(A5): one reply per served Fill — a whole batch (or terminal Abort) per message, never per item
-                let coordinator_gone = reply.is_some_and(|r| entry.reply.send(r).is_err());
-                if coordinator_gone {
-                    streams.remove(&session);
-                }
-            }
-            ShardCmd::FillMany(reqs) => serve_fill_many(shard, &reqs, &mut streams),
-        }
-    }
-}
-
-/// Opens one stream (count + table insert) on the worker thread, over the
-/// shard's frozen index. An open that panics leaves a poisoned entry so
-/// the stream's later fills abort promptly; an open whose coordinator is
-/// already gone leaves nothing.
-fn open_stream(
-    frozen: &Arc<crate::FrozenRsTree<2>>,
-    shard: usize,
-    op: u64,
-    args: OpenArgs,
-    streams: &mut HashMap<u64, StreamEntry>,
-) {
-    let OpenArgs {
-        query,
-        mode,
-        seed,
-        session,
-        hook,
-        recover,
-        reply,
-    } = args;
-    let built = catch_unwind(AssertUnwindSafe(|| {
-        let mut drop_reply = false;
-        if let Some(hook) = &hook {
-            match hook.fault(FaultSite::Open, shard, op) {
-                Some(FaultKind::WorkerPanic) => {
-                    panic!("storm-faultkit: injected worker panic (open, shard {shard}, op {op})")
-                }
-                Some(FaultKind::DelayReplyMs(ms)) => {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                Some(FaultKind::DropReply) => drop_reply = true,
-                _ => {}
-            }
-        }
-        // Count-only descent; the sampler is built lazily on first fill
-        // (see [`StreamSlot`]). The descent visits exactly the nodes the
-        // cone carve would, so this count equals the eager sampler's
-        // `result_size`.
-        let count = frozen.exact_count(&query);
-        (count, drop_reply)
-    }));
-    match built {
-        Ok((count, drop_reply)) => {
-            let coordinator_alive = drop_reply
-                || reply
-                    .send(ShardReply::Opened {
-                        shard,
-                        count,
-                        session,
-                    })
-                    .is_ok();
-            // A zero-count stream can never be filled (its weight is 0 in
-            // every coordinator), so don't table it at all: the close
-            // becomes a no-op remove and the session costs this shard
-            // nothing beyond the count descent.
-            if coordinator_alive && count > 0 {
-                streams.insert(
-                    session,
-                    StreamEntry {
-                        reply,
-                        slot: StreamSlot::Lazy {
-                            frozen: Arc::clone(frozen),
-                            query,
-                            mode,
-                            seed,
-                            hook,
-                            recover,
-                        },
-                    },
-                );
-            }
-        }
-        Err(_) => {
-            // Contained: the stream is stillborn, the tree is fine. Keep a
-            // poisoned entry so fills sent before the coordinator learns
-            // of the abort are answered instead of timing out.
-            let _ = reply.send(ShardReply::Aborted { shard, session });
-            streams.insert(
-                session,
-                StreamEntry {
-                    reply,
-                    slot: StreamSlot::Poisoned,
-                },
-            );
-        }
-    }
-}
-
-/// Serves one coalesced [`ShardCmd::OpenMany`]: every named session's
-/// stream is opened (count + table insert) in admission order, answered
-/// with one [`ShardReply::Opens`] on the batch's shared channel. Panic
-/// containment is per session — a stillborn open rides along as
-/// `count: None` and the rest of the batch opens normally. An injected
-/// `DropReply` omits that session from the reply (the stream itself still
-/// opens; the coordinator writes the shard off). Returns the advanced
-/// open-op counter.
-fn serve_open_many(
-    frozen: &Arc<crate::FrozenRsTree<2>>,
-    shard: usize,
-    mut open_ops: u64,
-    args: OpenManyArgs,
-    streams: &mut HashMap<u64, StreamEntry>,
-) -> u64 {
-    let OpenManyArgs {
-        reqs,
-        hook,
-        recover,
-        reply,
-    } = args;
-    let mut opens = Vec::with_capacity(reqs.len());
-    for spec in reqs {
-        let op = open_ops;
-        open_ops += 1;
-        let OpenSpec {
-            session,
-            query,
-            mode,
-            seed,
-        } = spec;
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            let mut drop_reply = false;
-            if let Some(hook) = &hook {
-                match hook.fault(FaultSite::Open, shard, op) {
-                    Some(FaultKind::WorkerPanic) => {
-                        panic!(
-                            "storm-faultkit: injected worker panic (open, shard {shard}, op {op})"
-                        )
-                    }
-                    Some(FaultKind::DelayReplyMs(ms)) => {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                    Some(FaultKind::DropReply) => drop_reply = true,
-                    _ => {}
-                }
-            }
-            // Count-only descent; the sampler is built lazily on first
-            // fill (see [`StreamSlot`]). A shard this query never touches
-            // therefore never pays a sampler build.
-            let count = frozen.exact_count(&query);
-            (count, drop_reply)
-        }));
-        match built {
-            Ok((count, drop_reply)) => {
-                // Zero-count streams are never filled; skip the table
-                // insert entirely (see `open_stream`).
-                if count > 0 {
-                    streams.insert(
-                        session,
-                        StreamEntry {
-                            // storm-analyzer: allow(A4): admission path — one Arc bump per opened session, not per draw
-                            reply: reply.clone(),
-                            slot: StreamSlot::Lazy {
-                                frozen: Arc::clone(frozen),
-                                query,
-                                mode,
-                                seed,
-                                // storm-analyzer: allow(A4): admission path — one hook Arc bump per opened session, not per draw
-                                hook: hook.clone(),
-                                recover,
-                            },
-                        },
-                    );
-                }
-                if !drop_reply {
-                    opens.push(SessionOpen {
-                        session,
-                        count: Some(count),
-                    });
-                }
-            }
-            Err(_) => {
-                // Contained: this stream is stillborn, the batch and the
-                // tree are fine. Keep a poisoned entry so straggler fills
-                // are answered instead of timing out.
-                streams.insert(
-                    session,
-                    StreamEntry {
-                        // storm-analyzer: allow(A4): stillborn-stream bookkeeping — once per failed open, not per draw
-                        reply: reply.clone(),
-                        slot: StreamSlot::Poisoned,
-                    },
-                );
-                opens.push(SessionOpen {
-                    session,
-                    count: None,
-                });
-            }
-        }
-    }
-    let _ = reply.send(ShardReply::Opens { shard, opens });
-    open_ops
-}
-
-/// Serves one fill against one table entry, containing panics by
-/// poisoning the entry. A first fill against a [`StreamSlot::Lazy`] entry
-/// materialises the sampler here (a panic during the build poisons the
-/// entry, same as a panic mid-fill) — from the snapshot `Arc` the entry
-/// pinned at open, never the worker's current one, so an epoch swap
-/// between open and first fill is invisible to the stream.
-fn fill_stream(shard: usize, n: usize, seq: u64, entry: &mut StreamEntry) -> FillOutcome {
-    if let StreamSlot::Lazy {
-        frozen,
-        query,
-        mode,
-        seed,
-        hook,
-        recover,
-    } = &entry.slot
-    {
-        let (query, mode, seed, recover) = (*query, *mode, *seed, *recover);
-        let hook = hook.clone();
-        let frozen = Arc::clone(frozen);
-        let built = catch_unwind(AssertUnwindSafe(|| frozen.sampler(&query, mode)));
-        match built {
-            Ok(sampler) => {
-                entry.slot = StreamSlot::Ready(Box::new(StreamState {
-                    sampler,
-                    rng: StdRng::seed_from_u64(seed),
-                    hook,
-                    recover,
-                    fill_ops: 0,
-                    cache: None,
-                }));
-            }
-            Err(_) => {
-                entry.slot = StreamSlot::Poisoned;
-                return FillOutcome::Poisoned;
-            }
-        }
-    }
-    let StreamSlot::Ready(state) = &mut entry.slot else {
-        return FillOutcome::Poisoned;
-    };
-    let op = state.fill_ops;
-    state.fill_ops += 1;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut drop_reply = false;
-        if let Some(hook) = &state.hook {
-            match hook.fault(FaultSite::Fill, shard, op) {
-                Some(FaultKind::WorkerPanic) => {
-                    panic!("storm-faultkit: injected worker panic (fill, shard {shard}, op {op})")
-                }
-                Some(FaultKind::DelayReplyMs(ms)) => {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                Some(FaultKind::DropReply) => drop_reply = true,
-                _ => {}
-            }
-        }
-        let items = match &state.cache {
-            Some((cached_seq, cached)) if *cached_seq == seq => cached.clone(),
-            _ => {
-                let mut batch = Vec::with_capacity(n);
-                state.sampler.next_batch(&mut state.rng, &mut batch, n);
-                if state.recover {
-                    state.cache = Some((seq, batch.clone()));
-                }
-                batch
-            }
-        };
-        if drop_reply {
-            FillOutcome::DroppedReply
-        } else {
-            FillOutcome::Served(items)
-        }
-    }));
-    match outcome {
-        Ok(o) => o,
-        Err(_) => {
-            entry.slot = StreamSlot::Poisoned;
-            FillOutcome::Poisoned
-        }
-    }
-}
-
-/// Serves one coalesced [`ShardCmd::FillMany`]: every named session's fill
-/// in request order, answered with one [`ShardReply::Batches`] on the
-/// first named stream's reply channel (the scheduler invariant: all
-/// sessions in one `FillMany` share a channel).
-fn serve_fill_many(shard: usize, reqs: &[FillReq], streams: &mut HashMap<u64, StreamEntry>) {
-    let mut replies = Vec::with_capacity(reqs.len());
-    let mut reply_to: Option<Sender<ShardReply>> = None;
-    for r in reqs {
-        // Unknown sessions (straggler fills past a close) are skipped; the
-        // scheduler never fills a session it has closed, so in practice
-        // every request finds its entry.
-        let Some(entry) = streams.get_mut(&r.session) else {
-            continue;
-        };
-        if reply_to.is_none() {
-            // storm-analyzer: allow(A4): one Arc bump per FillMany round (first request only), amortised across the batch
-            reply_to = Some(entry.reply.clone());
-        }
-        match fill_stream(shard, r.n, r.seq, entry) {
-            FillOutcome::Served(items) => replies.push(SessionBatch {
-                session: r.session,
-                seq: r.seq,
-                items: Some(items),
-            }),
-            FillOutcome::DroppedReply => {}
-            FillOutcome::Poisoned => replies.push(SessionBatch {
-                session: r.session,
-                seq: r.seq,
-                items: None,
-            }),
-        }
-    }
-    if let Some(tx) = reply_to {
-        let _ = tx.send(ShardReply::Batches { shard, replies });
-    }
-}
-
-/// A [`DistributedRsTree`] whose shards run on their own worker threads.
-///
-/// Build one with [`DistributedRsTree::into_parallel`]; recover the plain
-/// cluster (for updates or sequential use) with
-/// [`ParallelRsCluster::join`]. Streams opened by
-/// [`ParallelRsCluster::sampler`] produce the same distribution as the
-/// sequential [`DistributedRsTree::sampler`], and are deterministic under a
-/// fixed seed (see the module docs). Any number of streams may be open
-/// concurrently — `sampler` takes `&self`, per-query state lives in the
-/// [`ParallelSampler`], and the workers multiplex their session tables.
-///
-/// By default the cluster runs the zero-overhead fail-soft path. Installing
-/// a [`FaultHook`] ([`ParallelRsCluster::set_fault_hook`]) or a
-/// [`RetryPolicy`] ([`ParallelRsCluster::set_retry_policy`]) activates the
-/// timeout/retry recovery machinery described in the module docs.
-///
-/// ## Counter ordering policy
-///
-/// All atomic counters on the cluster (`dropped_sends`, `next_session`)
-/// use `Ordering::Relaxed` for every load and RMW — they are monotonic
-/// statistics/allocators that publish no other memory. Do not mix in
-/// stronger orderings: a reader must never infer cross-thread
-/// happens-before from these values.
-#[derive(Debug)]
-pub struct ParallelRsCluster {
-    workers: Vec<WorkerHandle>,
-    boundaries: Vec<u64>,
-    curve: HilbertCurve,
-    bounds: Rect2,
-    /// Fault-injection hook handed to workers per stream.
-    fault_hook: Option<Arc<dyn FaultHook>>,
-    /// Explicit retry policy; `None` means recovery is off unless a hook
-    /// is installed (in which case the default policy applies).
-    retry: Option<RetryPolicy>,
-    /// Next stream session id (Relaxed; see the ordering policy above).
-    next_session: AtomicU64,
-    /// Count of control sends that found a dead worker (see
-    /// [`ParallelRsCluster::dropped_sends`]).
-    dropped_sends: Arc<AtomicU64>,
-    /// Count of epoch installs (Relaxed; a statistic, not a fence — the
-    /// real handoff ordering is the per-worker channel FIFO).
-    epoch: AtomicU64,
-}
-
-impl ParallelRsCluster {
-    /// Moves every shard of `d` into its own worker thread.
-    pub fn from_distributed(d: DistributedRsTree) -> Self {
-        let (shards, boundaries, curve, bounds) = d.into_parts();
-        let dropped_sends = Arc::new(AtomicU64::new(0));
-        let workers = shards
-            .into_iter()
-            .enumerate()
-            .map(|(s, tree)| {
-                let (cmd_tx, cmd_rx) = unbounded();
-                let len = tree.len();
-                let thread = std::thread::spawn(move || run_shard(tree, s, &cmd_rx));
-                WorkerHandle {
-                    cmd: cmd_tx,
-                    thread: Some(thread),
-                    len: AtomicUsize::new(len),
-                    shard: s,
-                    dropped_sends: Arc::clone(&dropped_sends),
-                }
-            })
-            .collect();
-        ParallelRsCluster {
-            workers,
-            boundaries,
-            curve,
-            bounds,
-            fault_hook: None,
-            retry: None,
-            next_session: AtomicU64::new(0),
-            dropped_sends,
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// Installs a new data epoch: every shard worker's tree is replaced by
-    /// the corresponding shard of `next` (one [`ShardCmd::Swap`] per
-    /// worker, same shard count required) and subsequent opens snapshot
-    /// the new data. Open sessions are never broken: each stream pinned
-    /// its shard snapshots at open and keeps drawing from them until it
-    /// closes, byte-identically to a run with no swap (the epoch-handoff
-    /// determinism contract, certified by `tests/epoch_handoff.rs`).
-    ///
-    /// The cluster's routing metadata (curve boundaries) is kept from
-    /// construction; build `next` with the same shard count and the swap
-    /// is transparent to the open/fill protocol, which consults workers —
-    /// not boundaries — for per-shard counts. Returns the new epoch
-    /// number.
-    ///
-    /// # Panics
-    /// Panics if `next` does not have exactly one shard per worker.
-    pub fn install_epoch(&self, next: DistributedRsTree) -> u64 {
-        let (shards, _boundaries, _curve, _bounds) = next.into_parts();
-        assert_eq!(
-            shards.len(),
-            self.workers.len(),
-            "epoch install requires one shard tree per worker"
-        );
-        for (w, tree) in self.workers.iter().zip(shards) {
-            w.len.store(tree.len(), Ordering::Relaxed);
-            // storm-analyzer: allow(A4): one boxed tree per shard per epoch install — a control-path event, not per-draw work
-            let swap = ShardCmd::Swap(Box::new(tree));
-            // storm-analyzer: allow(A5): each worker owns a private channel and a distinct tree — there is no batched form spanning workers, and installs happen once per epoch
-            if w.cmd.send(swap).is_err() {
-                w.note_dropped_send("epoch swap");
-            }
-        }
-        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// How many epochs have been installed (0 = still serving the build
-    /// the cluster started with).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Number of shard workers.
-    pub fn num_shards(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Total points across the cluster (as of the move; the parallel
-    /// executor serves reads only).
-    pub fn len(&self) -> usize {
-        self.workers
-            .iter()
-            .map(|w| w.len.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// True when the cluster holds no data.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Installs a fault-injection hook: every subsequent stream hands it
-    /// to the workers, and gathers switch to the timeout/retry path.
-    pub fn set_fault_hook(&mut self, hook: Arc<dyn FaultHook>) {
-        self.fault_hook = Some(hook);
-    }
-
-    /// Removes the fault hook (recovery stays on if a retry policy is set).
-    pub fn clear_fault_hook(&mut self) {
-        self.fault_hook = None;
-    }
-
-    /// Sets the timeout/retry policy and activates the recovery gather
-    /// path even without a fault hook (for production fail-soft serving).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = Some(policy);
-    }
-
-    /// Whether gathers run the timeout/retry recovery path.
-    fn recovery_active(&self) -> bool {
-        self.fault_hook.is_some() || self.retry.is_some()
-    }
-
-    /// The effective retry policy.
-    fn policy(&self) -> RetryPolicy {
-        self.retry.unwrap_or_default()
-    }
-
-    /// How many control-plane sends (close/shutdown/open/fill) found a
-    /// dead worker and were counted instead of silently dropped.
-    pub fn dropped_sends(&self) -> u64 {
-        self.dropped_sends.load(Ordering::Relaxed)
-    }
-
-    /// Allocates a cluster-unique stream session id.
-    pub fn allocate_session(&self) -> u64 {
-        self.next_session.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Scatters `Open` for `session` to every shard, routing the stream's
-    /// replies to `reply`. The caller gathers one
-    /// [`ShardReply::Opened`]/[`ShardReply::Aborted`] per live shard (tagged
-    /// with the shard index) itself — this is the scheduler-facing half of
-    /// the protocol; single-query users should call
-    /// [`ParallelRsCluster::sampler`] instead. Returns how many shards the
-    /// open actually reached.
-    pub fn open_session(
-        &self,
-        session: u64,
-        query: Rect2,
-        mode: SampleMode,
-        seed: u64,
-        reply: &Sender<ShardReply>,
-    ) -> usize {
-        let recover = self.recovery_active();
-        let mut reached = 0;
-        for (s, w) in self.workers.iter().enumerate() {
-            let args = OpenArgs {
-                query,
-                mode,
-                seed: shard_seed(seed, s),
-                session,
-                hook: self.fault_hook.clone(),
-                recover,
-                reply: reply.clone(),
-            };
-            let open = ShardCmd::Open(Box::new(args));
-            // storm-analyzer: allow(A5): one Open control message per shard per session, not a per-item path
-            if w.cmd.send(open).is_err() {
-                w.note_dropped_send("open");
-            } else {
-                reached += 1;
-            }
-        }
-        reached
-    }
-
-    /// Scatters one coalesced [`ShardCmd::OpenMany`] per live shard: the
-    /// whole admission batch opens with `2 · shards` channel messages
-    /// total instead of `2 · shards` *per session*. Per-shard stream
-    /// seeds are derived exactly as [`ParallelRsCluster::open_session`]
-    /// derives them, so coalesced and per-session opens produce identical
-    /// streams. The caller gathers one [`ShardReply::Opens`] per reached
-    /// shard (the returned count) on `reply`; every named session must
-    /// route to that one channel (the scheduler invariant, as with
-    /// [`ParallelRsCluster::fill_many`]).
-    pub fn open_many(&self, reqs: &[OpenReq], reply: &Sender<ShardReply>) -> usize {
-        let recover = self.recovery_active();
-        let mut reached = 0;
-        for (s, w) in self.workers.iter().enumerate() {
-            let specs = reqs
-                .iter()
-                .map(|r| OpenSpec {
-                    session: r.session,
-                    query: r.query,
-                    mode: r.mode,
-                    seed: shard_seed(r.seed, s),
-                })
-                // storm-analyzer: allow(A4): admission flush — one spec Vec per shard per OpenMany, not per draw
-                .collect();
-            let args = OpenManyArgs {
-                reqs: specs,
-                // storm-analyzer: allow(A4): admission flush — one hook Arc bump per shard per OpenMany, not per draw
-                hook: self.fault_hook.clone(),
-                recover,
-                // storm-analyzer: allow(A4): admission flush — one reply Arc bump per shard per OpenMany, not per draw
-                reply: reply.clone(),
-            };
-            // storm-analyzer: allow(A4): admission flush — one boxed args block per shard per OpenMany, not per draw
-            let cmd = ShardCmd::OpenMany(Box::new(args));
-            // storm-analyzer: allow(A5): one OpenMany control message per shard carries the whole admission batch — the opposite of per-item traffic
-            if w.cmd.send(cmd).is_err() {
-                w.note_dropped_send("open-many");
-            } else {
-                reached += 1;
-            }
-        }
-        reached
-    }
-
-    /// Sends one coalesced [`ShardCmd::FillMany`] to `shard`. Every named
-    /// session must have been opened on this cluster with the *same* reply
-    /// channel (the worker answers all of them in one
-    /// [`ShardReply::Batches`] on the first named stream's channel).
-    /// Returns `false` (and counts a dropped send) when the worker is gone.
-    pub fn fill_many(&self, shard: usize, reqs: Vec<FillReq>) -> bool {
-        let w = &self.workers[shard];
-        if w.cmd.send(ShardCmd::FillMany(reqs)).is_err() {
-            w.note_dropped_send("fill-many");
-            false
-        } else {
-            true
-        }
-    }
-
-    /// Tears down `session`'s stream on every shard (no replies). Returns
-    /// the first unreachable shard as an error, after still notifying the
-    /// rest.
-    pub fn close_session(&self, session: u64) -> Result<(), CloseError> {
-        let mut err = None;
-        for w in &self.workers {
-            if let Err(e) = w.close(session) {
-                w.note_dropped_send("close");
-                err.get_or_insert(e);
-            }
-        }
-        match err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Tears down every named session's stream on every shard with one
-    /// coalesced [`ShardCmd::CloseMany`] per shard (no replies) — the
-    /// teardown analogue of [`ParallelRsCluster::open_many`]. Returns the
-    /// first unreachable shard as an error, after still notifying the
-    /// rest.
-    pub fn close_many(&self, sessions: &[u64]) -> Result<(), CloseError> {
-        let mut err = None;
-        for w in &self.workers {
-            // storm-analyzer: allow(A4): teardown flush — one session-list copy per shard per CloseMany, not per draw
-            let cmd = ShardCmd::CloseMany(sessions.to_vec());
-            // storm-analyzer: allow(A5): one CloseMany control message per shard carries every finished session since the last flush
-            if w.cmd.send(cmd).is_err() {
-                w.note_dropped_send("close-many");
-                err.get_or_insert(CloseError { shard: w.shard });
-            }
-        }
-        match err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Shuts the workers down and reassembles the sequential cluster,
-    /// reporting — not re-raising — any shard trees lost to uncaught
-    /// worker-thread panics.
-    ///
-    /// Stream-serving panics are contained inside the worker and can never
-    /// lose a tree; a loss here means the worker loop itself died. Each
-    /// lost shard's curve range is merged into its successor so routing
-    /// stays total over the surviving shards.
-    pub fn try_join(mut self) -> JoinOutcome {
-        let mut shards = Vec::with_capacity(self.workers.len());
-        let mut lost_shards = Vec::new();
-        let workers = std::mem::take(&mut self.workers);
-        for mut w in workers {
-            // storm-analyzer: allow(A5): one Shutdown control message per worker at teardown; runs once per cluster lifetime
-            if w.cmd.send(ShardCmd::Shutdown).is_err() {
-                w.note_dropped_send("shutdown");
-            }
-            let Some(thread) = w.thread.take() else {
-                continue;
-            };
-            match thread.join() {
-                Ok(tree) => shards.push(tree),
-                Err(_) => {
-                    eprintln!(
-                        "storm-core: parallel: shard {} tree lost to worker panic; \
-                         rebuilding cluster from survivors",
-                        w.shard
-                    );
-                    lost_shards.push(w.shard);
-                }
-            }
-        }
-        // Drop the boundary that carved out each lost shard (descending so
-        // earlier indices stay valid): shard i owned (b[i-1], b[i]], so
-        // removing b[i] (or the last boundary for the last shard) merges
-        // its range into a surviving neighbour.
-        let mut boundaries = std::mem::take(&mut self.boundaries);
-        for &s in lost_shards.iter().rev() {
-            if boundaries.is_empty() {
-                break;
-            }
-            let idx = s.min(boundaries.len() - 1);
-            boundaries.remove(idx);
-        }
-        JoinOutcome {
-            tree: DistributedRsTree::from_parts(shards, boundaries, self.curve, self.bounds),
-            lost_shards,
-        }
-    }
-
-    /// [`ParallelRsCluster::try_join`], discarding the loss report.
-    pub fn join(self) -> DistributedRsTree {
-        self.try_join().tree
-    }
-
-    /// Opens a parallel scatter-gather stream for `query`.
-    ///
-    /// `seed` derives each shard's stream RNG; together with the
-    /// coordinator RNG handed to `next_batch`/`next_sample`, it fully
-    /// determines the emitted sequence (neither thread scheduling nor
-    /// concurrently open co-tenant streams can affect it). Takes `&self`:
-    /// per-query state lives entirely in the returned sampler, whose
-    /// replies travel over channels private to this stream.
-    pub fn sampler(&self, query: Rect2, mode: SampleMode, seed: u64) -> ParallelSampler<'_> {
-        let session = self.allocate_session();
-        let recover = self.recovery_active();
-        let policy = self.policy();
-        let n = self.workers.len();
-        // Scatter the open: every worker computes its partial count
-        // concurrently. One fresh reply channel per shard keeps this
-        // stream's gathers unmixed with any co-tenant's.
-        let mut reply_txs = Vec::with_capacity(n);
-        let mut replies = Vec::with_capacity(n);
-        for (s, w) in self.workers.iter().enumerate() {
-            let (tx, rx) = unbounded();
-            let args = OpenArgs {
-                query,
-                mode,
-                seed: shard_seed(seed, s),
-                session,
-                // storm-analyzer: allow(A4): one Arc bump per shard per query *open*, never per sample
-                hook: self.fault_hook.clone(),
-                recover,
-                // storm-analyzer: allow(A4): one reply-Sender clone per shard per query open, never per sample
-                reply: tx.clone(),
-            };
-            // storm-analyzer: allow(A4): one boxed Open per shard per query open, never per sample
-            let open = ShardCmd::Open(Box::new(args));
-            // storm-analyzer: allow(A5): one Open control message per shard per query, not a per-item path
-            if w.cmd.send(open).is_err() {
-                w.note_dropped_send("open");
-            }
-            reply_txs.push(tx);
-            replies.push(rx);
-        }
-        // Gather the counts (per-shard stream channels: no ordering race).
-        let mut weights = Vec::with_capacity(n);
-        let mut open_failures = Vec::new();
-        for (s, w) in self.workers.iter().enumerate() {
-            let count = if recover {
-                match gather_count(w, &replies[s], session, &policy, |attempt| {
-                    // Open-phase retry: restart the stream (same seed →
-                    // identical stream, nothing served yet).
-                    let _ = attempt; // resend is identical per attempt
-                    let args = OpenArgs {
-                        query,
-                        mode,
-                        seed: shard_seed(seed, s),
-                        session,
-                        // storm-analyzer: allow(A4): one Arc bump per open *retry*, bounded by the retry policy
-                        hook: self.fault_hook.clone(),
-                        recover,
-                        // storm-analyzer: allow(A4): one reply-Sender clone per open retry, bounded by the retry policy
-                        reply: reply_txs[s].clone(),
-                    };
-                    // storm-analyzer: allow(A4): one boxed Open per open retry, bounded by the retry policy
-                    w.cmd.send(ShardCmd::Open(Box::new(args))).is_ok() // storm-analyzer: allow(A5): one Open control message per retry, bounded by the retry policy
-                }) {
-                    Ok(c) => c,
-                    Err(reason) => {
-                        open_failures.push((s, reason));
-                        0
-                    }
-                }
-            } else {
-                // storm-analyzer: allow(A5): one count reply per shard per query open; counts have no batched form
-                // storm-analyzer: allow(A13): open ack from an in-process worker; a dead worker drops its reply Sender and this recv wakes with Err, handled as Disconnected below
-                match replies[s].recv() {
-                    Ok(ShardReply::Opened { count, .. }) => count,
-                    // A worker whose stream died at open (contained panic)
-                    // or disconnected contributes nothing.
-                    Ok(ShardReply::Aborted { .. }) => {
-                        open_failures.push((s, FailReason::OpenFailed));
-                        0
-                    }
-                    Ok(
-                        ShardReply::Batch { .. }
-                        | ShardReply::Batches { .. }
-                        | ShardReply::Opens { .. },
-                    )
-                    | Err(_) => {
-                        open_failures.push((s, FailReason::Disconnected));
-                        0
-                    }
-                }
-            };
-            weights.push(count as u64);
-        }
-        ParallelSampler {
-            cluster: self,
-            replies,
-            core: StreamCore::new(mode, weights, open_failures),
-            fills: vec![0; n],
-            session,
-            next_seq: 0,
-        }
-    }
-}
-
-/// Recovery-path count gather for one worker: timeout + bounded retry,
-/// discarding replies that are not this session's count (this stream's
-/// channel is private, but open retries can duplicate `Opened`s).
-fn gather_count(
-    w: &WorkerHandle,
-    rx: &Receiver<ShardReply>,
-    session: u64,
-    policy: &RetryPolicy,
-    mut resend: impl FnMut(u32) -> bool,
-) -> Result<usize, FailReason> {
-    let _ = w;
-    let mut attempt = 0u32;
-    loop {
-        // storm-analyzer: allow(A5): open-retry loop — one count reply per attempt, bounded by the retry policy
-        match rx.recv_timeout(policy.timeout_for(attempt)) {
-            Ok(ShardReply::Opened {
-                count,
-                session: reply_session,
-                ..
-            }) if reply_session == session => return Ok(count),
-            // A duplicate after an open retry, or (defensively) a message
-            // tagged for another stream: discard and keep waiting.
-            Ok(
-                ShardReply::Opened { .. }
-                | ShardReply::Batch { .. }
-                | ShardReply::Batches { .. }
-                | ShardReply::Opens { .. },
-            ) => continue,
-            Ok(ShardReply::Aborted {
-                session: reply_session,
-                ..
-            }) => {
-                if reply_session != session {
-                    continue;
-                }
-                // The open itself panicked; a fresh open is a new fault
-                // decision, so retrying is meaningful.
-                attempt += 1;
-                if attempt >= policy.attempts() || !resend(attempt) {
-                    return Err(FailReason::OpenFailed);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                attempt += 1;
-                if attempt >= policy.attempts() || !resend(attempt) {
-                    return Err(FailReason::OpenFailed);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err(FailReason::Disconnected),
-        }
-    }
-}
-
-/// Derives shard `s`'s stream-RNG seed from the query seed.
-fn shard_seed(seed: u64, s: usize) -> u64 {
-    mix64(
-        seed ^ (s as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1),
-    )
-}
-
-/// Fast-path request amplification: a contacted shard is asked for up to
-/// this many rounds' worth of items instead of exactly this round's owed
-/// count, and the surplus is banked coordinator-side. One channel
-/// round-trip then serves ~this many rounds; on a single-CPU host (where
-/// every message is a context switch) this is the difference between the
-/// executor tracking the inline sampler and trailing it by an order of
-/// magnitude (see E12 in results/BENCH_results.json).
-const PREFETCH_AMPLIFY: usize = 32;
-
-/// Upper bound on one amplified request, so a huge `next_batch` cannot ask
-/// a worker to materialize an unbounded batch in one message.
-const PREFETCH_MAX: usize = 1024;
-
-/// The sans-I/O per-stream coordinator state machine: the multinomial
-/// draw, prefetch request sizing, buffered-batch bookkeeping, drawn-order
-/// merge, and degraded-mode write-off for **one** scatter-gather stream.
-///
-/// [`ParallelSampler`] drives one core with blocking per-shard channels;
-/// the `storm-server` scheduler drives many cores over one shared reply
-/// channel, coalescing their per-shard requests. Keeping the
-/// round-planning arithmetic here — and nowhere else — is what pins the
-/// multi-tenant determinism contract: every quantity a worker's batched
-/// kernel can observe (which shard is asked, for how much, in which
-/// round) is a pure function of this session-local state and the
-/// session's own RNG, so a stream chunked under 1 000 co-tenants is
-/// byte-identical to the same stream running alone. (The worker's WOR
-/// kernel draws a part sequence *per fill*, so 64 + 64 ≠ 128: request
-/// *sizes* must never depend on co-tenant load — schedulers may delay a
-/// round, never resize it.)
-///
-/// The round protocol, in order: [`StreamCore::draw`] →
-/// [`StreamCore::plan_requests`] → (caller I/O) →
-/// [`StreamCore::deliver`]/[`StreamCore::fail`] per contacted shard →
-/// [`StreamCore::merge_into`].
-#[derive(Debug)]
-pub struct StreamCore {
-    mode: SampleMode,
-    /// Initial per-shard result counts.
-    weights: Vec<u64>,
-    /// Unemitted counts (without-replacement bookkeeping).
-    remaining: Vec<u64>,
-    total_remaining: u64,
-    total: usize,
-    /// Scratch: the drawn shard sequence for the current round.
-    seq: Vec<usize>,
-    /// Scratch: per-shard owed counts for the current round.
-    need: Vec<usize>,
-    /// Per-shard gathered batches. Unlike the owed counts these persist
-    /// *across* rounds: the planner over-requests ([`PREFETCH_AMPLIFY`])
-    /// and the surplus waits here for later rounds, which is what keeps
-    /// the per-round channel round-trip off the per-sample cost.
-    batches: Vec<Vec<Item<2>>>,
-    /// Per-shard merge cursors into `batches`.
-    cursors: Vec<usize>,
-    /// Items received from each shard over the stream's lifetime; with
-    /// `weights` this bounds WOR prefetch to the mass the worker can
-    /// still serve.
-    fetched: Vec<u64>,
-    /// Shards written off this stream, and the mass lost with them.
-    degraded: DegradedInfo,
-    /// Per-shard dead flags (never plan a request to a written-off shard).
-    dead: Vec<bool>,
-    /// Budget-aware prefetch cap: draws the stream still owes its caller
-    /// after the current round (see [`StreamCore::set_fetch_hint`]).
-    fetch_hint: Option<u64>,
-}
-
-impl StreamCore {
-    /// Builds the state machine from the gathered per-shard counts, with
-    /// open-phase failures already recorded (failed shards carry weight 0,
-    /// so they are never drawn).
-    pub fn new(mode: SampleMode, weights: Vec<u64>, failures: Vec<(usize, FailReason)>) -> Self {
-        let total: u64 = weights.iter().sum();
-        // Shards dead at open never reported a count, so their mass cannot
-        // enter `initial_total`; they are recorded with zero lost mass and
-        // the missing-mass bound under-counts accordingly (documented in
-        // DESIGN.md §9).
-        let mut degraded = DegradedInfo::new(total);
-        for (s, reason) in failures {
-            degraded.record(s, reason, 0);
-        }
-        let n = weights.len();
-        StreamCore {
-            mode,
-            remaining: weights.clone(),
-            weights,
-            total_remaining: total,
-            total: total as usize,
-            seq: Vec::new(),
-            need: vec![0; n],
-            batches: vec![Vec::new(); n],
-            cursors: vec![0; n],
-            fetched: vec![0; n],
-            degraded,
-            dead: vec![false; n],
-            fetch_hint: None,
-        }
-    }
-
-    /// Declares how many draws the stream still owes its caller *after*
-    /// the current round, capping request amplification so a short-budget
-    /// stream does not prefetch [`PREFETCH_AMPLIFY`] rounds it will never
-    /// consume. The cap is apportioned per shard by weight share (a
-    /// shard is asked for this round's deficit plus its share of the
-    /// future draws, plus one for rounding); under-apportionment only
-    /// costs a later fill round, never correctness.
-    ///
-    /// Part of the deterministic protocol: the hint must be a pure
-    /// function of session-local state (its sample budget and draws so
-    /// far), exactly like the draw sizes — the `storm-server` scheduler
-    /// sets it from the session's declared budget, which is why serving
-    /// budgeted sessions fetches ~1x their budget while the budget-blind
-    /// single-query [`ParallelSampler`] fetches the full amplification.
-    pub fn set_fetch_hint(&mut self, remaining: u64) {
-        self.fetch_hint = Some(remaining);
-    }
-
-    /// The sampling mode this stream was opened with.
-    pub fn mode(&self) -> SampleMode {
-        self.mode
-    }
-
-    /// Number of shards this stream spans.
-    pub fn shards(&self) -> usize {
-        self.need.len()
-    }
-
-    /// The exact result count gathered at open (`|P ∩ Q|`).
-    pub fn result_count(&self) -> usize {
-        self.total
-    }
-
-    /// Mass still drawable: WOR's unemitted count, or the live weight sum
-    /// with replacement. Zero means [`StreamCore::draw`] will never again
-    /// produce a round.
-    pub fn live_mass(&self) -> u64 {
-        match self.mode {
-            SampleMode::WithoutReplacement => self.total_remaining,
-            SampleMode::WithReplacement => self.weights.iter().sum(),
-        }
-    }
-
-    /// This round's owed count for shard `s` (valid between
-    /// [`StreamCore::draw`] and the next round's draw).
-    pub fn owed(&self, s: usize) -> usize {
-        self.need[s]
-    }
-
-    /// A snapshot of the stream's degraded-mode report.
-    pub fn degraded_info(&self) -> DegradedInfo {
-        self.degraded.clone()
-    }
-
-    /// True once any shard has been written off — a cheap check so
-    /// per-round callers (the multi-session scheduler) only pay the
-    /// [`StreamCore::degraded_info`] clone on streams that actually
-    /// degraded.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.is_degraded()
-    }
-
-    /// The fraction of the declared result mass lost to written-off
-    /// shards (the estimator's missing-mass widening input), without
-    /// cloning the report.
-    pub fn missing_fraction(&self) -> f64 {
-        self.degraded.missing_fraction()
-    }
-
-    /// Phase 1: draws up to `want` shard indices from the remaining-count
-    /// multinomial into the round's owed tallies. Returns the number
-    /// drawn; 0 means the stream is exhausted (or empty) and no round
-    /// should run.
-    pub fn draw(&mut self, rng: &mut dyn Rng, want: usize) -> usize {
-        let rng = &mut *rng;
-        self.seq.clear();
-        self.need.fill(0);
-        match self.mode {
-            SampleMode::WithReplacement => {
-                let total: u64 = self.weights.iter().sum();
-                if total == 0 {
-                    return 0;
-                }
-                for _ in 0..want {
-                    let mut target = rng.random_range(0..total);
-                    for (s, &w) in self.weights.iter().enumerate() {
-                        if target < w {
-                            self.need[s] += 1;
-                            self.seq.push(s);
-                            break;
-                        }
-                        target -= w;
-                    }
-                }
-            }
-            SampleMode::WithoutReplacement => {
-                if self.total_remaining == 0 {
-                    return 0;
-                }
-                for _ in 0..want {
-                    if self.total_remaining == 0 {
-                        break;
-                    }
-                    let mut target = rng.random_range(0..self.total_remaining);
-                    for (s, &w) in self.remaining.iter().enumerate() {
-                        if target < w {
-                            self.remaining[s] -= 1;
-                            self.total_remaining -= 1;
-                            self.need[s] += 1;
-                            self.seq.push(s);
-                            break;
-                        }
-                        target -= w;
-                    }
-                }
-            }
-        }
-        self.seq.len()
-    }
-
-    /// Phase 2 planning: computes this round's per-shard request sizes
-    /// into `out` (index = shard, 0 = no I/O needed), compacting consumed
-    /// buffer prefixes as it goes.
-    ///
-    /// Requests are *amplified*: instead of exactly this round's owed
-    /// count, a shard is asked for up to [`PREFETCH_AMPLIFY`] rounds'
-    /// worth and the surplus is banked in the buffer, so most rounds are
-    /// served with no channel traffic at all. One subtlety makes this
-    /// formula part of the deterministic protocol: the worker's batched
-    /// WOR kernel draws a part sequence *per fill* and pops grouped per
-    /// part, so a shard's item order depends on the fill sizes it receives
-    /// (64 + 64 ≠ 128). Recovery rounds therefore use the *same* amplified
-    /// formula as the fast path — a quiet-hooked run must chunk
-    /// identically to an unhooked one — and every input here is
-    /// session-local, so co-tenant load cannot perturb the sizes either.
-    /// WOR prefetch is capped by the mass the worker can still serve so
-    /// over-requesting can never masquerade as under-delivery.
-    pub fn plan_requests(&mut self, out: &mut Vec<usize>) {
-        out.clear();
-        // Budget-aware cap (see `set_fetch_hint`): per shard, this round's
-        // deficit plus the shard's weight share of the declared future
-        // draws. `None` hint = no cap (the long-stream default).
-        let hint = self.fetch_hint.map(|h| {
-            let total: u64 = self.weights.iter().sum();
-            (h, total.max(1))
-        });
-        for s in 0..self.need.len() {
-            // Compact the consumed prefix so the buffer holds only
-            // unemitted items and this round's merge cursor restarts at 0.
-            if self.cursors[s] > 0 {
-                self.batches[s].drain(..self.cursors[s]);
-                self.cursors[s] = 0;
-            }
-            let need = self.need[s];
-            let deficit = need.saturating_sub(self.batches[s].len());
-            let req = if deficit == 0 {
-                0
-            } else {
-                let mut amplified = deficit.max((need * PREFETCH_AMPLIFY).min(PREFETCH_MAX));
-                if let Some((h, total)) = hint {
-                    let share = (h * self.weights[s] / total) as usize + 1;
-                    amplified = amplified.min(deficit + share);
-                }
-                match self.mode {
-                    SampleMode::WithoutReplacement => {
-                        let cap = self.weights[s].saturating_sub(self.fetched[s]) as usize;
-                        amplified.min(cap)
-                    }
-                    SampleMode::WithReplacement => amplified,
-                }
-            };
-            out.push(req);
-        }
-    }
-
-    /// Banks one contacted shard's gathered batch for merging.
-    pub fn deliver(&mut self, s: usize, items: Vec<Item<2>>) {
-        self.fetched[s] += items.len() as u64;
-        if self.batches[s].is_empty() {
-            self.batches[s] = items;
-        } else {
-            self.batches[s].extend(items);
-        }
-    }
-
-    /// Records that shard `s`'s gather failed this round and writes it out
-    /// of the stream. Already-buffered items are still valid output and
-    /// will be merged; only the part of this round's draw the buffer
-    /// cannot cover is lost.
-    pub fn fail(&mut self, s: usize, reason: FailReason) {
-        let shortfall = self.need[s].saturating_sub(self.batches[s].len()) as u64;
-        self.write_off(s, reason, shortfall);
-    }
-
-    /// Phase 3: merges the round's buffered items into `buf` in drawn
-    /// order — deterministic regardless of which worker answered first —
-    /// and (WOR) writes off under-delivering shards so the caller's retry
-    /// loop re-draws their shortfall elsewhere instead of spinning.
-    /// Returns the number of items merged.
-    pub fn merge_into(&mut self, buf: &mut Vec<Item<2>>) -> usize {
-        let before = buf.len();
-        for i in 0..self.seq.len() {
-            let s = self.seq[i];
-            if self.cursors[s] < self.batches[s].len() {
-                buf.push(self.batches[s][self.cursors[s]]);
-                self.cursors[s] += 1;
-            }
-        }
-        // Under-delivery (a shard's stream dried before its count): write
-        // off the shortfall so phase 1 re-draws it from the survivors.
-        if self.mode == SampleMode::WithoutReplacement {
-            for s in 0..self.need.len() {
-                let n = self.need[s];
-                if n > 0 && !self.dead[s] && self.batches[s].len() < n {
-                    let shortfall = (n - self.batches[s].len()) as u64;
-                    self.write_off(s, FailReason::UnderDelivered, shortfall);
-                }
-            }
-        }
-        buf.len() - before
-    }
-
-    /// Writes shard `s` out of the stream: removes its mass from the draw
-    /// weights and records the loss. `shortfall` is the current round's
-    /// drawn-but-undelivered count — already subtracted from `remaining`
-    /// in phase 1, so it must be added back into the reported loss.
-    fn write_off(&mut self, s: usize, reason: FailReason, shortfall: u64) {
-        if self.dead[s] {
-            return;
-        }
-        self.dead[s] = true;
-        let lost = match self.mode {
-            SampleMode::WithoutReplacement => self.remaining[s] + shortfall,
-            // With replacement nothing is "consumed"; the shard's whole
-            // weight becomes unreachable.
-            SampleMode::WithReplacement => self.weights[s],
-        };
-        self.total_remaining -= self.remaining[s];
-        self.remaining[s] = 0;
-        self.weights[s] = 0;
-        self.degraded.record(s, reason, lost);
-    }
-}
-
-/// The coordinator side of a parallel scatter-gather sample stream.
-///
-/// Implements [`SpatialSampler`]; `next_batch` is the intended entry point
-/// (`next_sample` degenerates to blocks of one and pays a channel
-/// round-trip per draw). [`SpatialSampler::degraded`] reports any shards
-/// written off while the stream ran. Holds only a shared borrow of the
-/// cluster: any number of samplers can stream concurrently, each over its
-/// own private reply channels.
-#[derive(Debug)]
-pub struct ParallelSampler<'a> {
-    cluster: &'a ParallelRsCluster,
-    /// This stream's private per-shard reply channels.
-    replies: Vec<Receiver<ShardReply>>,
-    /// The sans-I/O round state machine.
-    core: StreamCore,
-    /// Scratch: per-shard request size actually sent this round (0 when
-    /// the round was served entirely from the prefetch buffer).
-    fills: Vec<usize>,
-    /// This stream's identity; every protocol message echoes it.
-    session: u64,
-    /// Next scatter-round number (the retry/replay key).
-    next_seq: u64,
-}
-
-impl ParallelSampler<'_> {
-    /// Phase 2: scatter `Fill` requests per the planned sizes and gather
-    /// the batches into the core. Returns `false` when every contacted
-    /// shard is gone.
-    fn scatter_gather(&mut self) -> bool {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let recover = self.cluster.recovery_active();
-        let policy = self.cluster.policy();
-        let session = self.session;
-        let mut fills = std::mem::take(&mut self.fills);
-        self.core.plan_requests(&mut fills);
-        for (s, &req) in fills.iter().enumerate() {
-            if req > 0
-                && self.cluster.workers[s]
-                    .cmd
-                    // storm-analyzer: allow(A5): one Fill per shard per round requests a whole batch (and a prefetched surplus); items ride back in ShardReply::Batch
-                    .send(ShardCmd::Fill {
-                        session,
-                        n: req,
-                        seq,
-                    })
-                    .is_err()
-            {
-                self.cluster.workers[s].note_dropped_send("fill");
-            }
-        }
-        let mut any = false;
-        let mut failures: Vec<(usize, FailReason)> = Vec::new();
-        for (s, &req) in fills.iter().enumerate() {
-            if self.core.owed(s) > 0 && req == 0 {
-                any = true; // served entirely from the prefetch buffer
-            }
-            if req == 0 {
-                continue;
-            }
-            let gathered = if recover {
-                gather_batch(&self.replies[s], seq, session, req, &policy, |n| {
-                    self.cluster.workers[s]
-                        .cmd
-                        // storm-analyzer: allow(A5): one re-sent Fill per retry-policy timeout; it requests a whole batch
-                        .send(ShardCmd::Fill { session, n, seq })
-                        .is_ok()
-                })
-            } else {
-                // storm-analyzer: allow(A5): one recv per in-flight Fill per round; the reply is a whole batch, most rounds have no traffic at all
-                // storm-analyzer: allow(A13): fast-path gather with recovery off; worker death drops the reply Sender and wakes this recv with Err — the recovery branch above uses the recv_timeout gather instead
-                match self.replies[s].recv() {
-                    Ok(ShardReply::Batch { items, .. }) => Ok(items),
-                    Ok(ShardReply::Aborted { .. }) => Err(FailReason::Aborted),
-                    Ok(
-                        ShardReply::Opened { .. }
-                        | ShardReply::Batches { .. }
-                        | ShardReply::Opens { .. },
-                    )
-                    | Err(_) => Err(FailReason::Disconnected),
-                }
-            };
-            match gathered {
-                Ok(items) => {
-                    self.core.deliver(s, items);
-                    any = true;
-                }
-                Err(reason) => failures.push((s, reason)),
-            }
-        }
-        for (s, reason) in failures {
-            self.core.fail(s, reason);
-        }
-        self.fills = fills;
-        any
-    }
-}
-
-/// Recovery-path batch gather for one shard: timeout + bounded retry with
-/// the *same* `seq` (the worker replays its cache), discarding stale
-/// replies.
-fn gather_batch(
-    rx: &Receiver<ShardReply>,
-    seq: u64,
-    session: u64,
-    n: usize,
-    policy: &RetryPolicy,
-    mut resend: impl FnMut(usize) -> bool,
-) -> Result<Vec<Item<2>>, FailReason> {
-    let mut attempt = 0u32;
-    loop {
-        // storm-analyzer: allow(A5): recovery gather loop — one recv per retry attempt and the reply is a whole batch
-        match rx.recv_timeout(policy.timeout_for(attempt)) {
-            Ok(ShardReply::Batch {
-                items,
-                seq: reply_seq,
-                session: reply_session,
-                ..
-            }) => {
-                if reply_seq == seq && reply_session == session {
-                    return Ok(items);
-                }
-                // A stale batch (earlier round, or a delayed duplicate the
-                // retry already superseded): discard, keep waiting.
-            }
-            // A stale count reply (or defensively, a coalesced reply —
-            // never sent on a single-stream channel): discard.
-            Ok(
-                ShardReply::Opened { .. } | ShardReply::Batches { .. } | ShardReply::Opens { .. },
-            ) => {}
-            Ok(ShardReply::Aborted {
-                session: reply_session,
-                ..
-            }) => {
-                if reply_session == session {
-                    // The stream died worker-side; retrying cannot revive
-                    // it (there is no stream left to serve the cache).
-                    return Err(FailReason::Aborted);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                attempt += 1;
-                if attempt >= policy.attempts() {
-                    return Err(FailReason::Timeout);
-                }
-                // Same seq: a worker that already served this round will
-                // replay its cache instead of advancing the stream.
-                if !resend(n) {
-                    return Err(FailReason::Disconnected);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err(FailReason::Disconnected),
-        }
-    }
-}
-
-impl SpatialSampler<2> for ParallelSampler<'_> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<2>> {
-        // A block of one: correct, but the channel round-trip per draw is
-        // exactly what `next_batch` amortises away.
-        let mut one = Vec::with_capacity(1);
-        self.next_batch(rng, &mut one, 1);
-        one.pop()
-    }
-
-    fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<2>>, k: usize) -> usize {
-        let rng = &mut *rng;
-        let before = buf.len();
-        if self.cluster.workers.is_empty() {
-            return 0;
-        }
-        loop {
-            let done = buf.len() - before;
-            if done >= k {
-                break;
-            }
-            // Phase 1: draw the shard sequence — the same per-draw
-            // bookkeeping as the sequential gather, run as a block.
-            let drawn = self.core.draw(rng, k - done);
-            if drawn == 0 {
-                break;
-            }
-            // Phase 2: scatter the planned requests, gather the batches. A
-            // round where *every* contacted shard died delivers nothing,
-            // but its mass is already written off — re-enter phase 1 and
-            // re-draw from the survivors (phase 1 terminates the stream
-            // itself once no mass remains; each all-dead round kills at
-            // least one live shard, so this cannot loop unboundedly).
-            if !self.scatter_gather() {
-                continue;
-            }
-            // Phase 3: merge in drawn order.
-            let merged = self.core.merge_into(buf);
-            if self.core.mode() == SampleMode::WithReplacement && merged < drawn {
-                // With replacement a full retry can only repeat the same
-                // shortfall (weights are static); stop instead of looping.
-                break;
-            }
-        }
-        buf.len() - before
-    }
-
-    fn kind(&self) -> SamplerKind {
-        SamplerKind::RsTree
-    }
-
-    fn result_size(&self) -> Option<usize> {
-        Some(self.core.result_count())
-    }
-
-    fn degraded(&self) -> Option<DegradedInfo> {
-        Some(self.core.degraded_info())
-    }
-}
-
-impl Drop for ParallelSampler<'_> {
-    fn drop(&mut self) {
-        // All gathers complete before next_batch returns, so there are no
-        // in-flight replies; Close tears this session's worker streams
-        // down (dead workers are counted by close_session itself).
-        let _ = self.cluster.close_session(self.session);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::RsTreeConfig;
-    use std::collections::HashSet;
-    use storm_faultkit::FaultPlan;
-    use storm_geo::Point2;
-
-    fn grid_items(n: usize) -> Vec<Item<2>> {
-        (0..n)
-            .map(|i| Item::new(Point2::xy((i % 100) as f64, (i / 100) as f64), i as u64))
-            .collect()
-    }
-
-    fn cluster(n: usize, shards: usize) -> ParallelRsCluster {
-        DistributedRsTree::bulk_load(grid_items(n), shards, RsTreeConfig::with_fanout(16))
-            .into_parallel()
-    }
-
-    #[test]
-    fn parallel_wor_stream_is_exactly_the_query_result() {
-        let c = cluster(5_000, 8);
-        let q = Rect2::from_corners(Point2::xy(13.0, 7.0), Point2::xy(61.0, 29.0));
-        let expected: HashSet<u64> = grid_items(5_000)
-            .iter()
-            .filter(|it| q.contains_point(&it.point))
-            .map(|it| it.id)
-            .collect();
-        let mut s = c.sampler(q, SampleMode::WithoutReplacement, 42);
-        assert_eq!(s.result_size(), Some(expected.len()));
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut got = HashSet::new();
-        let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            if s.next_batch(&mut rng, &mut buf, 64) == 0 {
-                break;
-            }
-            for item in &buf {
-                assert!(got.insert(item.id), "duplicate across shards: {}", item.id);
-            }
-        }
-        assert!(
-            s.degraded().is_some_and(|d| !d.is_degraded()),
-            "clean run must not be degraded"
-        );
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn stream_is_deterministic_under_a_fixed_seed() {
-        let q = Rect2::from_corners(Point2::xy(5.0, 2.0), Point2::xy(70.0, 40.0));
-        let run = |batch: usize| -> Vec<u64> {
-            let c = cluster(4_000, 8);
-            let mut s = c.sampler(q, SampleMode::WithoutReplacement, 7);
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut out = Vec::new();
-            let mut buf = Vec::new();
-            while out.len() < 512 {
-                buf.clear();
-                if s.next_batch(&mut rng, &mut buf, batch) == 0 {
-                    break;
-                }
-                out.extend(buf.iter().map(|it| it.id));
-            }
-            drop(s);
-            c.join();
-            out
-        };
-        // Same seeds, different runs: identical sequences despite thread
-        // scheduling differences.
-        assert_eq!(run(64), run(64));
-    }
-
-    #[test]
-    fn concurrent_sessions_cannot_perturb_each_other() {
-        // The multi-tenant determinism contract at the executor level: a
-        // stream's emitted sequence is identical whether it runs alone or
-        // interleaved round-for-round with co-tenant streams over the
-        // same workers.
-        let q = Rect2::from_corners(Point2::xy(5.0, 2.0), Point2::xy(70.0, 40.0));
-        let solo = {
-            let c = cluster(4_000, 4);
-            let mut s = c.sampler(q, SampleMode::WithoutReplacement, 7);
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut buf = Vec::new();
-            for _ in 0..6 {
-                s.next_batch(&mut rng, &mut buf, 48);
-            }
-            buf.iter().map(|it| it.id).collect::<Vec<_>>()
-        };
-        let shared = {
-            let c = cluster(4_000, 4);
-            // Same stream plus 7 co-tenants with different seeds, all
-            // open at once and filled in interleaved rounds.
-            let mut target = c.sampler(q, SampleMode::WithoutReplacement, 7);
-            let mut tenants: Vec<ParallelSampler<'_>> = (0..7)
-                .map(|t| c.sampler(q, SampleMode::WithoutReplacement, 100 + t))
-                .collect();
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut tenant_rng = StdRng::seed_from_u64(1000);
-            let mut buf = Vec::new();
-            let mut scratch = Vec::new();
-            for _ in 0..6 {
-                target.next_batch(&mut rng, &mut buf, 48);
-                for t in &mut tenants {
-                    scratch.clear();
-                    t.next_batch(&mut tenant_rng, &mut scratch, 32);
-                }
-            }
-            buf.iter().map(|it| it.id).collect::<Vec<_>>()
-        };
-        assert_eq!(solo, shared);
-    }
-
-    #[test]
-    fn join_round_trips_the_cluster() {
-        let c = cluster(2_000, 4);
-        assert_eq!(c.num_shards(), 4);
-        assert_eq!(c.len(), 2_000);
-        assert_eq!(c.dropped_sends(), 0);
-        let mut d = c.join();
-        assert_eq!(d.num_shards(), 4);
-        assert_eq!(d.len(), 2_000);
-        // The reassembled cluster still samples correctly.
-        let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(30.0, 10.0));
-        let expected = d.exact_count(&q);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut s = d.sampler(q, SampleMode::WithoutReplacement);
-        assert_eq!(s.draw(100_000, &mut rng).len(), expected);
-    }
-
-    #[test]
-    fn with_replacement_batches_stream_indefinitely() {
-        let c = cluster(1_000, 3);
-        let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(50.0, 9.0));
-        let mut s = c.sampler(q, SampleMode::WithReplacement, 5);
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut buf = Vec::new();
-        for _ in 0..10 {
-            buf.clear();
-            assert_eq!(s.next_batch(&mut rng, &mut buf, 256), 256);
-            for item in &buf {
-                assert!(q.contains_point(&item.point));
-            }
-        }
-    }
-
-    #[test]
-    fn empty_query_yields_empty_stream() {
-        let c = cluster(500, 4);
-        let q = Rect2::from_corners(Point2::xy(900.0, 900.0), Point2::xy(901.0, 901.0));
-        let mut s = c.sampler(q, SampleMode::WithoutReplacement, 1);
-        let mut rng = StdRng::seed_from_u64(7);
-        assert!(s.next_sample(&mut rng).is_none());
-        assert_eq!(s.result_size(), Some(0));
-    }
-
-    #[test]
-    fn sequential_and_parallel_agree_on_first_draw_distribution() {
-        // Chi-square on the first parallel draw against uniform — the same
-        // bar the sequential gather's test holds itself to.
-        let items = grid_items(900);
-        let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(99.0, 0.0)); // 100 pts
-        let trials = 20_000;
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut counts = std::collections::HashMap::new();
-        let c =
-            DistributedRsTree::bulk_load(items, 6, RsTreeConfig::with_fanout(8)).into_parallel();
-        for t in 0..trials {
-            let mut s = c.sampler(q, SampleMode::WithoutReplacement, t as u64);
-            let Some(first) = s.next_sample(&mut rng) else {
-                panic!("non-empty query produced no sample");
-            };
-            *counts.entry(first.id).or_insert(0usize) += 1;
-        }
-        assert_eq!(counts.len(), 100);
-        let expected = trials as f64 / 100.0;
-        let chi: f64 = counts
-            .values()
-            .map(|&c| {
-                let d = c as f64 - expected;
-                d * d / expected
-            })
-            .sum();
-        // 99 dof, p = 0.001 critical ≈ 148.2.
-        assert!(chi < 148.2, "chi² = {chi}");
-    }
-
-    #[test]
-    fn dropped_replies_recover_via_replay_without_duplicates() {
-        // 20% dropped replies: every drop forces a timeout + retry, and
-        // the worker's replay cache must hand back the *same* batch — the
-        // stream stays an exact WOR enumeration, no loss, no duplicates.
-        let mut c = cluster(2_000, 4);
-        c.set_retry_policy(RetryPolicy {
-            max_retries: 4,
-            timeout_ms: 40,
-            backoff: 2,
-        });
-        c.set_fault_hook(Arc::new(FaultPlan::seeded(21).with_drops(200)));
-        let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(59.0, 19.0));
-        let expected: HashSet<u64> = grid_items(2_000)
-            .iter()
-            .filter(|it| q.contains_point(&it.point))
-            .map(|it| it.id)
-            .collect();
-        let mut s = c.sampler(q, SampleMode::WithoutReplacement, 3);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut got = HashSet::new();
-        let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            if s.next_batch(&mut rng, &mut buf, 32) == 0 {
-                break;
-            }
-            for item in &buf {
-                assert!(got.insert(item.id), "duplicate after replay: {}", item.id);
-            }
-        }
-        // Drop probability per attempt is 20%; five attempts never all
-        // drop under this seed, so no shard dies and nothing is lost.
-        let d = s.degraded().unwrap_or_default();
-        assert!(!d.is_degraded(), "unexpected write-offs: {d}");
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn worker_panics_degrade_the_stream_but_spare_the_cluster() {
-        // Panic on every fill of shard-site decisions: the panicking
-        // shards abort, the stream continues over the survivors, the
-        // losses are reported, and join() still returns every tree.
-        #[derive(Debug)]
-        struct PanicShard0;
-        impl FaultHook for PanicShard0 {
-            fn fault(&self, site: FaultSite, shard: usize, _op: u64) -> Option<FaultKind> {
-                (site == FaultSite::Fill && shard == 0).then_some(FaultKind::WorkerPanic)
-            }
-        }
-        let mut c = cluster(3_000, 4);
-        c.set_fault_hook(Arc::new(PanicShard0));
-        let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(99.0, 29.0));
-        let mut s = c.sampler(q, SampleMode::WithoutReplacement, 11);
-        let declared = s.result_size().unwrap_or(0);
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut got = HashSet::new();
-        let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            if s.next_batch(&mut rng, &mut buf, 64) == 0 {
-                break;
-            }
-            for item in &buf {
-                assert!(got.insert(item.id), "duplicate: {}", item.id);
-            }
-        }
-        let d = s.degraded().expect("parallel streams always report");
-        assert!(d.is_degraded(), "shard 0 should have been written off");
-        assert_eq!(d.dead_shards(), vec![0]);
-        assert_eq!(d.failures[0].reason, FailReason::Aborted);
-        // Surviving samples + reported loss account for the whole result.
-        assert_eq!(got.len() as u64 + d.lost_mass(), declared as u64);
-        drop(s);
-        // The panicked worker contained the unwind: its tree survives.
-        let out = c.try_join();
-        assert!(
-            out.lost_shards.is_empty(),
-            "tree lost: {:?}",
-            out.lost_shards
-        );
-        assert_eq!(out.tree.len(), 3_000);
-    }
-
-    #[test]
-    fn degraded_write_off_is_deterministic_across_runs() {
-        // Same plan + seeds → byte-identical stream and identical
-        // dead-shard reporting, three runs in a row.
-        let run = || -> (Vec<u64>, Vec<usize>) {
-            let mut c = cluster(2_000, 4);
-            c.set_fault_hook(Arc::new(FaultPlan::seeded(77).with_panics(80)));
-            let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(79.0, 19.0));
-            let mut s = c.sampler(q, SampleMode::WithoutReplacement, 13);
-            let mut rng = StdRng::seed_from_u64(17);
-            let mut out = Vec::new();
-            let mut buf = Vec::new();
-            loop {
-                buf.clear();
-                if s.next_batch(&mut rng, &mut buf, 48) == 0 {
-                    break;
-                }
-                out.extend(buf.iter().map(|it| it.id));
-            }
-            let dead = s.degraded().unwrap_or_default().dead_shards();
-            (out, dead)
-        };
-        let a = run();
-        let b = run();
-        let c3 = run();
-        assert_eq!(a, b);
-        assert_eq!(b, c3);
-    }
-
-    #[test]
-    fn close_on_live_worker_succeeds_and_counts_nothing() {
-        let c = cluster(400, 2);
-        // Closing a session no worker has heard of is a no-op the channel
-        // still carries: live workers, nothing counted.
-        assert_eq!(c.close_session(12345), Ok(()));
-        assert_eq!(c.dropped_sends(), 0);
-    }
-
-    #[test]
-    fn dropped_send_counter_is_exact_under_contention() {
-        // The documented Relaxed-ordering policy in action: Relaxed RMWs
-        // are still atomic, so hammering close_session on a shut-down
-        // cluster from many threads must count every dropped send exactly
-        // — no torn or lost increments, no ordering needed.
-        let c = cluster(200, 2);
-        // Kill the workers (join their threads) while keeping the handles.
-        for w in &c.workers {
-            w.cmd.send(ShardCmd::Shutdown).expect("worker still alive");
-        }
-        for w in &c.workers {
-            // Safety valve: joining via the handle requires &mut; instead
-            // wait until the channel reports disconnect.
-            while w.cmd.send(ShardCmd::Close { session: 0 }).is_ok() {
-                std::thread::yield_now();
-            }
-        }
-        let before = c.dropped_sends();
-        let threads = 8;
-        let iters = 250;
-        storm_testkit::stress_concurrent(threads, iters, |_, _| {
-            let _ = c.close_session(7);
-        });
-        // Every close_session on a dead 2-shard cluster counts exactly 2.
-        assert_eq!(
-            c.dropped_sends() - before,
-            (threads * iters * c.num_shards()) as u64
-        );
-    }
-}
+mod cluster;
+mod protocol;
+mod sampler;
+mod stream_core;
+mod tests;
+mod worker;
+
+pub use cluster::{CloseError, JoinOutcome, ParallelRsCluster};
+pub use protocol::{FillReq, OpenReq, SessionBatch, SessionOpen, ShardReply};
+pub use sampler::ParallelSampler;
+pub use stream_core::StreamCore;

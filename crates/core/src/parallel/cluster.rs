@@ -1,0 +1,395 @@
+//! The cluster handle: worker threads, the coordinator-facing entry points
+//! of the shard protocol, epoch installs, and fail-soft teardown.
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
+use crossbeam::channel::{unbounded, Sender};
+use storm_faultkit::{FaultHook, RetryPolicy};
+use storm_geo::curve::HilbertCurve;
+use storm_geo::Rect2;
+
+use super::protocol::{FillReq, OpenManyArgs, OpenReq, ShardCmd, ShardReply};
+use super::sampler::ParallelSampler;
+use super::worker::run_shard;
+use crate::rs_tree::RsTree;
+use crate::{DistributedRsTree, SampleMode};
+
+/// Typed error from [`ParallelRsCluster`] teardown paths: the shard's
+/// command channel was already disconnected (its worker thread is gone).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CloseError {
+    /// Index of the unreachable shard.
+    pub shard: usize,
+}
+
+impl std::fmt::Display for CloseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "shard {} worker unreachable (channel closed)",
+            self.shard
+        )
+    }
+}
+
+impl std::error::Error for CloseError {}
+
+/// Result of [`ParallelRsCluster::try_join`]: the reassembled sequential
+/// cluster plus any shards whose trees were lost to uncaught worker-thread
+/// panics (panics *inside* a stream are contained and never reach here).
+#[derive(Debug)]
+pub struct JoinOutcome {
+    /// The cluster rebuilt from the surviving shards, with the lost
+    /// shards' curve ranges merged into their successors.
+    pub tree: DistributedRsTree,
+    /// Indices (in pre-join numbering) of shards whose trees were lost.
+    pub lost_shards: Vec<usize>,
+}
+
+/// One shard server: the command channel plus the thread owning the
+/// shard's `RsTree`. Replies travel over the channel carried in each
+/// open, so the handle itself is send-only and freely shared by
+/// concurrent coordinators.
+pub(super) struct WorkerHandle {
+    pub(super) cmd: Sender<ShardCmd>,
+    thread: Option<JoinHandle<RsTree<2>>>,
+    /// Points owned by this shard (recorded before the move; refreshed by
+    /// epoch swaps — Relaxed, see the cluster's counter ordering policy).
+    len: AtomicUsize,
+    /// This shard's index (for fault coordinates and error reporting).
+    shard: usize,
+    /// Cluster-wide count of control sends that found a dead worker.
+    /// Ordering policy: `Relaxed` everywhere (see the module docs).
+    dropped_sends: Arc<AtomicU64>,
+}
+
+impl WorkerHandle {
+    /// Sends one control message, logging and counting (rather than
+    /// swallowing) a send that finds the worker gone. Returns whether the
+    /// message was delivered.
+    fn send(&self, cmd: ShardCmd, what: &str) -> bool {
+        let delivered = self.cmd.send(cmd).is_ok();
+        if !delivered {
+            self.dropped_sends.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "storm-core: parallel: {what} to shard {} dropped (worker gone)",
+                self.shard
+            );
+        }
+        delivered
+    }
+}
+
+impl Drop for WorkerHandle {
+    fn drop(&mut self) {
+        self.send(ShardCmd::Shutdown, "shutdown");
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+impl std::fmt::Debug for WorkerHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerHandle")
+            .field("shard", &self.shard)
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A [`DistributedRsTree`] whose shards run on their own worker threads.
+///
+/// Build one with [`DistributedRsTree::into_parallel`]; recover the plain
+/// cluster (for updates or sequential use) with
+/// [`ParallelRsCluster::join`]. Streams opened by
+/// [`ParallelRsCluster::sampler`] produce the same distribution as the
+/// sequential [`DistributedRsTree::sampler`], and are deterministic under a
+/// fixed seed (see the module docs). Any number of streams may be open
+/// concurrently — `sampler` takes `&self`, per-query state lives in the
+/// [`ParallelSampler`], and the workers multiplex their session tables.
+///
+/// By default the cluster runs the zero-overhead fail-soft path. Installing
+/// a [`FaultHook`] ([`ParallelRsCluster::set_fault_hook`]) or a
+/// [`RetryPolicy`] ([`ParallelRsCluster::set_retry_policy`]) activates the
+/// timeout/retry recovery machinery described in the module docs.
+///
+/// ## Counter ordering policy
+///
+/// All atomic counters on the cluster (`dropped_sends`, `next_session`)
+/// use `Ordering::Relaxed` for every load and RMW — they are monotonic
+/// statistics/allocators that publish no other memory. Do not mix in
+/// stronger orderings: a reader must never infer cross-thread
+/// happens-before from these values.
+#[derive(Debug)]
+pub struct ParallelRsCluster {
+    pub(super) workers: Vec<WorkerHandle>,
+    boundaries: Vec<u64>,
+    curve: HilbertCurve,
+    bounds: Rect2,
+    /// Fault-injection hook handed to workers per stream.
+    fault_hook: Option<Arc<dyn FaultHook>>,
+    /// Explicit retry policy; `None` means recovery is off unless a hook
+    /// is installed (in which case the default policy applies).
+    retry: Option<RetryPolicy>,
+    /// Next stream session id (Relaxed; see the ordering policy above).
+    next_session: AtomicU64,
+    /// Count of control sends that found a dead worker (see
+    /// [`ParallelRsCluster::dropped_sends`]).
+    dropped_sends: Arc<AtomicU64>,
+    /// Count of epoch installs (Relaxed; a statistic, not a fence — the
+    /// real handoff ordering is the per-worker channel FIFO).
+    epoch: AtomicU64,
+}
+
+impl ParallelRsCluster {
+    /// Moves every shard of `d` into its own worker thread.
+    pub fn from_distributed(d: DistributedRsTree) -> Self {
+        let (shards, boundaries, curve, bounds) = d.into_parts();
+        let dropped_sends = Arc::new(AtomicU64::new(0));
+        let workers = shards
+            .into_iter()
+            .enumerate()
+            .map(|(s, tree)| {
+                let (cmd_tx, cmd_rx) = unbounded();
+                let len = tree.len();
+                let thread = std::thread::spawn(move || run_shard(tree, s, &cmd_rx));
+                WorkerHandle {
+                    cmd: cmd_tx,
+                    thread: Some(thread),
+                    len: AtomicUsize::new(len),
+                    shard: s,
+                    dropped_sends: Arc::clone(&dropped_sends),
+                }
+            })
+            .collect();
+        ParallelRsCluster {
+            workers,
+            boundaries,
+            curve,
+            bounds,
+            fault_hook: None,
+            retry: None,
+            next_session: AtomicU64::new(0),
+            dropped_sends,
+            epoch: AtomicU64::new(0),
+        }
+    }
+
+    /// Installs a new data epoch: every shard worker's tree is replaced by
+    /// the corresponding shard of `next` (one [`ShardCmd::Swap`] per
+    /// worker, same shard count required) and subsequent opens snapshot
+    /// the new data. Open sessions are never broken: each stream pinned
+    /// its shard snapshots at open and keeps drawing from them until it
+    /// closes, byte-identically to a run with no swap (the epoch-handoff
+    /// determinism contract, certified by `tests/epoch_handoff.rs`).
+    ///
+    /// The cluster's routing metadata (curve boundaries) is kept from
+    /// construction; build `next` with the same shard count and the swap
+    /// is transparent to the open/fill protocol, which consults workers —
+    /// not boundaries — for per-shard counts. Returns the new epoch
+    /// number.
+    ///
+    /// # Panics
+    /// Panics if `next` does not have exactly one shard per worker.
+    pub fn install_epoch(&self, next: DistributedRsTree) -> u64 {
+        let (shards, _boundaries, _curve, _bounds) = next.into_parts();
+        assert_eq!(
+            shards.len(),
+            self.workers.len(),
+            "epoch install requires one shard tree per worker"
+        );
+        for (w, tree) in self.workers.iter().zip(shards) {
+            w.len.store(tree.len(), Ordering::Relaxed);
+            // storm-analyzer: allow(A4): one boxed tree per shard per epoch install — a control-path event, not per-draw work
+            let swap = ShardCmd::Swap(Box::new(tree));
+            // storm-analyzer: allow(A5): each worker owns a private channel and a distinct tree — there is no batched form spanning workers, and installs happen once per epoch
+            w.send(swap, "epoch swap");
+        }
+        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// How many epochs have been installed (0 = still serving the build
+    /// the cluster started with).
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    /// Number of shard workers.
+    pub fn num_shards(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Total points across the cluster (as of the move; the parallel
+    /// executor serves reads only).
+    pub fn len(&self) -> usize {
+        self.workers
+            .iter()
+            .map(|w| w.len.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// True when the cluster holds no data.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Installs a fault-injection hook: every subsequent stream hands it
+    /// to the workers, and gathers switch to the timeout/retry path.
+    pub fn set_fault_hook(&mut self, hook: Arc<dyn FaultHook>) {
+        self.fault_hook = Some(hook);
+    }
+
+    /// Removes the fault hook (recovery stays on if a retry policy is set).
+    pub fn clear_fault_hook(&mut self) {
+        self.fault_hook = None;
+    }
+
+    /// Sets the timeout/retry policy and activates the recovery gather
+    /// path even without a fault hook (for production fail-soft serving).
+    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
+        self.retry = Some(policy);
+    }
+
+    /// The retry policy gathers run under, or `None` when recovery is off
+    /// (no hook, no explicit policy): one blocking attempt per gather.
+    pub(super) fn recovery(&self) -> Option<RetryPolicy> {
+        (self.fault_hook.is_some() || self.retry.is_some()).then(|| self.retry.unwrap_or_default())
+    }
+
+    /// How many control-plane sends (close/shutdown/open/fill) found a
+    /// dead worker and were counted instead of silently dropped.
+    pub fn dropped_sends(&self) -> u64 {
+        self.dropped_sends.load(Ordering::Relaxed)
+    }
+
+    /// Allocates a cluster-unique stream session id.
+    pub fn allocate_session(&self) -> u64 {
+        self.next_session.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Sends one [`ShardCmd::OpenMany`] carrying `reqs` to `shard`, whose
+    /// [`ShardReply::Opens`] answer arrives on `reply` — the per-shard
+    /// primitive under [`ParallelRsCluster::open_many`], and what an
+    /// open-phase retry re-sends. Returns `false` (and counts a dropped
+    /// send) when the worker is gone.
+    pub(super) fn open_shard(
+        &self,
+        shard: usize,
+        reqs: &Arc<[OpenReq]>,
+        reply: &Sender<ShardReply>,
+    ) -> bool {
+        let args = OpenManyArgs {
+            reqs: Arc::clone(reqs),
+            hook: self.fault_hook.clone(),
+            recover: self.recovery().is_some(),
+            reply: reply.clone(),
+        };
+        self.workers[shard].send(ShardCmd::OpenMany(Box::new(args)), "open-many")
+    }
+
+    /// Scatters one [`ShardCmd::OpenMany`] per live shard: the whole
+    /// admission batch opens with `2 · shards` channel messages total
+    /// instead of `2 · shards` *per session*. The caller gathers one
+    /// [`ShardReply::Opens`] per reached shard (the returned count) on
+    /// `reply`; every named session must route to that one channel (the
+    /// scheduler invariant, as with [`ParallelRsCluster::fill_many`]).
+    pub fn open_many(&self, reqs: &[OpenReq], reply: &Sender<ShardReply>) -> usize {
+        let reqs: Arc<[OpenReq]> = reqs.into();
+        (0..self.workers.len())
+            .filter(|&s| self.open_shard(s, &reqs, reply))
+            .count()
+    }
+
+    /// Sends one [`ShardCmd::FillMany`] to `shard`. Every named
+    /// session must have been opened on this cluster with the *same* reply
+    /// channel (the worker answers all of them in one
+    /// [`ShardReply::Batches`] on the first named stream's channel).
+    /// Returns `false` (and counts a dropped send) when the worker is gone.
+    pub fn fill_many(&self, shard: usize, reqs: Vec<FillReq>) -> bool {
+        self.workers[shard].send(ShardCmd::FillMany(reqs), "fill-many")
+    }
+
+    /// Tears down every named session's stream on every shard with one
+    /// [`ShardCmd::CloseMany`] per shard (no replies) — the teardown
+    /// analogue of [`ParallelRsCluster::open_many`]. Returns the first
+    /// unreachable shard as an error, after still notifying the rest.
+    pub fn close_many(&self, sessions: &[u64]) -> Result<(), CloseError> {
+        let sessions: Arc<[u64]> = sessions.into();
+        let mut err = None;
+        for w in &self.workers {
+            // storm-analyzer: allow(A5): one CloseMany control message per shard carries every finished session since the last flush
+            if !w.send(ShardCmd::CloseMany(Arc::clone(&sessions)), "close-many") {
+                err.get_or_insert(CloseError { shard: w.shard });
+            }
+        }
+        err.map_or(Ok(()), Err)
+    }
+
+    /// Shuts the workers down and reassembles the sequential cluster,
+    /// reporting — not re-raising — any shard trees lost to uncaught
+    /// worker-thread panics.
+    ///
+    /// Stream-serving panics are contained inside the worker and can never
+    /// lose a tree; a loss here means the worker loop itself died. Each
+    /// lost shard's curve range is merged into its successor so routing
+    /// stays total over the surviving shards.
+    pub fn try_join(mut self) -> JoinOutcome {
+        let mut shards = Vec::with_capacity(self.workers.len());
+        let mut lost_shards = Vec::new();
+        let workers = std::mem::take(&mut self.workers);
+        for mut w in workers {
+            // storm-analyzer: allow(A5): one Shutdown control message per worker at teardown; runs once per cluster lifetime
+            w.send(ShardCmd::Shutdown, "shutdown");
+            let Some(thread) = w.thread.take() else {
+                continue;
+            };
+            match thread.join() {
+                Ok(tree) => shards.push(tree),
+                Err(_) => {
+                    eprintln!(
+                        "storm-core: parallel: shard {} tree lost to worker panic; \
+                         rebuilding cluster from survivors",
+                        w.shard
+                    );
+                    lost_shards.push(w.shard);
+                }
+            }
+        }
+        // Drop the boundary that carved out each lost shard (descending so
+        // earlier indices stay valid): shard i owned (b[i-1], b[i]], so
+        // removing b[i] (or the last boundary for the last shard) merges
+        // its range into a surviving neighbour.
+        let mut boundaries = std::mem::take(&mut self.boundaries);
+        for &s in lost_shards.iter().rev() {
+            if boundaries.is_empty() {
+                break;
+            }
+            let idx = s.min(boundaries.len() - 1);
+            boundaries.remove(idx);
+        }
+        JoinOutcome {
+            tree: DistributedRsTree::from_parts(shards, boundaries, self.curve, self.bounds),
+            lost_shards,
+        }
+    }
+
+    /// [`ParallelRsCluster::try_join`], discarding the loss report.
+    pub fn join(self) -> DistributedRsTree {
+        self.try_join().tree
+    }
+
+    /// Opens a parallel scatter-gather stream for `query`.
+    ///
+    /// `seed` derives each shard's stream RNG; together with the
+    /// coordinator RNG handed to `next_batch`/`next_sample`, it fully
+    /// determines the emitted sequence (neither thread scheduling nor
+    /// concurrently open co-tenant streams can affect it). Takes `&self`:
+    /// per-query state lives entirely in the returned sampler, whose
+    /// replies travel over channels private to this stream.
+    pub fn sampler(&self, query: Rect2, mode: SampleMode, seed: u64) -> ParallelSampler<'_> {
+        ParallelSampler::open(self, query, mode, seed)
+    }
+}

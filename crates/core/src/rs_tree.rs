@@ -79,6 +79,7 @@ pub struct RsTree<const D: usize> {
     pub(crate) buffers: HashMap<NodeId, Vec<Item<D>>>,
     pub(crate) cfg: RsTreeConfig,
     /// Mutation counter driving the sampled debug audit cadence.
+    #[cfg(debug_assertions)]
     audit_ops: u64,
     /// Refill scratch (descent frontier), reused across buffer refills so
     /// the hot path allocates nothing after warm-up.
@@ -95,6 +96,7 @@ impl<const D: usize> RsTree<D> {
             tree: RTree::bulk_load(items, cfg.rtree, BulkMethod::Hilbert),
             buffers: HashMap::new(),
             cfg,
+            #[cfg(debug_assertions)]
             audit_ops: 0,
             scratch_stack: Vec::new(),
             scratch_ids: HashSet::new(),

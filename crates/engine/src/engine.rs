@@ -4,7 +4,8 @@ use std::collections::HashMap;
 
 use rand::{rngs::StdRng, SeedableRng};
 use storm_connector::{DataSource, FieldMapping, StRecord};
-use storm_query::{plan::plan, Query};
+use storm_core::SamplerKind;
+use storm_query::{plan::plan, Plan, Query};
 use storm_store::DocId;
 
 use crate::dataset::{Dataset, DatasetConfig};
@@ -196,15 +197,7 @@ impl StormEngine {
             .datasets
             .get_mut(&query.dataset)
             .ok_or_else(|| EngineError::NoSuchDataset(query.dataset.clone()))?;
-        let stats = ds.stats();
-        // Exact q from aggregate counts (an O(r(N)) count-only pass).
-        let probe =
-            storm_geo::StQuery::new(query.range.unwrap_or(stats.bounds), query.time_range());
-        let q_est = match probe.to_rect3() {
-            Some(rect3) => ds.exact_count(&rect3),
-            None => 0,
-        };
-        let plan = plan(query, &stats, q_est)?;
+        let plan = plan_on(ds, query)?;
         exec::run_plan(ds, &plan, rng, cancel, on_progress)
     }
 
@@ -213,7 +206,6 @@ impl StormEngine {
     pub fn explain(&self, ql: &str) -> Result<String, EngineError> {
         use std::fmt::Write;
         use storm_core::cost::{self, CostInputs};
-        use storm_core::SamplerKind;
 
         let query = storm_query::parse(ql)?;
         let ds = self.dataset(&query.dataset)?;
@@ -267,17 +259,29 @@ impl StormEngine {
 
     /// Convenience used by tests and benches: plan a query without running
     /// it (exposes the optimizer's choice).
-    pub fn plan_only(&self, query: Query) -> Result<storm_query::Plan, EngineError> {
-        let ds = self.dataset(&query.dataset)?;
-        let stats = ds.stats();
-        let probe =
-            storm_geo::StQuery::new(query.range.unwrap_or(stats.bounds), query.time_range());
-        let q_est = match probe.to_rect3() {
-            Some(rect3) => ds.exact_count(&rect3),
-            None => 0,
-        };
-        Ok(plan(query, &stats, q_est)?)
+    pub fn plan_only(&self, query: Query) -> Result<Plan, EngineError> {
+        plan_on(self.dataset(&query.dataset)?, query)
     }
+}
+
+/// Plans `query` against `ds`: exact `q` from aggregate counts (an
+/// `O(r(N))` count-only pass), then the optimizer's method choice — except
+/// that a planner pick of the LS-tree on a data set built without one
+/// (`enable_ls = false`) is served by the RS-tree's frozen kernel instead.
+/// An explicit `METHOD lstree` is left alone: the executor answers it with
+/// [`EngineError::IndexUnavailable`].
+fn plan_on(ds: &Dataset, query: Query) -> Result<Plan, EngineError> {
+    let stats = ds.stats();
+    let probe = storm_geo::StQuery::new(query.range.unwrap_or(stats.bounds), query.time_range());
+    let q_est = match probe.to_rect3() {
+        Some(rect3) => ds.exact_count(&rect3),
+        None => 0,
+    };
+    let mut plan = plan(query, &stats, q_est)?;
+    if plan.query.method.is_none() && plan.sampler == SamplerKind::LsTree && ds.ls().is_none() {
+        plan.sampler = SamplerKind::RsTree;
+    }
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -397,6 +401,41 @@ mod tests {
         for m in &means {
             assert!((m - means[0]).abs() < 1.0, "means diverge: {means:?}");
         }
+    }
+
+    #[test]
+    fn planner_pick_falls_back_to_the_rs_tree_without_an_ls_tree() {
+        // A statement whose optimizer pick is the LS-tree...
+        let ql = "ESTIMATE AVG(temp) FROM weather RANGE 0 0 99 99 SAMPLES 64 MODE wor";
+        let with_ls = engine_with_data(10_000);
+        let pick = with_ls.plan_only(storm_query::parse(ql).unwrap()).unwrap();
+        assert_eq!(pick.sampler, SamplerKind::LsTree, "test premise");
+        // ...is served by the RS-tree on a data set built without one,
+        let mut e = StormEngine::new(42);
+        let cfg = DatasetConfig {
+            fanout: 16,
+            enable_ls: false,
+            ..Default::default()
+        };
+        e.create_dataset("weather", weather_records(10_000), cfg)
+            .unwrap();
+        let outcome = e
+            .execute(ql)
+            .expect("planner pick must not need the LS-tree");
+        assert_eq!(outcome.sampler, SamplerKind::RsTree);
+        assert_eq!(outcome.samples, 64);
+        let planned = e.plan_only(storm_query::parse(ql).unwrap()).unwrap();
+        assert_eq!(
+            planned.sampler,
+            SamplerKind::RsTree,
+            "EXPLAIN shows the fallback"
+        );
+        // while asking for the missing index by name is still an error.
+        let forced = e.execute(&format!("{ql} METHOD lstree"));
+        assert!(
+            matches!(forced, Err(EngineError::IndexUnavailable("LS-tree"))),
+            "{forced:?}"
+        );
     }
 
     #[test]

@@ -27,12 +27,13 @@
 //!
 //! ## Coalescing math
 //!
-//! A naive serving loop pays ~2 channel messages per session per round
-//! (one `Fill`, one `Batch`), so `S` sessions cost `O(S · rounds)`
-//! messages and as many scheduler/worker context switches. The tick
+//! A naive serving loop pays ~2 channel messages per session per round (a
+//! `FillMany` of one, a `Batches` of one), so `S` sessions cost
+//! `O(S · rounds)` messages and as many scheduler/worker context switches.
+//! The tick
 //! scheduler instead merges every runnable session's round-`r` request for
-//! shard `s` into **one** [`ShardCmd::FillMany`]-style batch, answered by
-//! one `Batches` reply: per tick the channel cost is `O(shards)`, not
+//! shard `s` into **one** `FillMany` batch, answered by one `Batches`
+//! reply: per tick the channel cost is `O(shards)`, not
 //! `O(sessions · shards)`. With `StreamCore`'s request amplification
 //! (surplus banked per session, most rounds served bufferside with zero
 //! I/O) the amortized message cost per session round drops well below
@@ -552,6 +553,9 @@ impl Sched {
                 // fills are in flight"), so the swap slots cleanly between
                 // rounds: every stream already open has pinned its shard
                 // snapshots, every open after this sees the new epoch.
+                // Sessions admitted earlier in this same drain open first,
+                // so "admitted before the install" means "old epoch".
+                self.settle_opens();
                 let epoch = self.cluster.install_epoch(*next);
                 let _ = reply.send(epoch);
             }
@@ -675,60 +679,45 @@ impl Sched {
         self.run_queue.push_back(session);
     }
 
-    /// Cancels a session wherever it currently is (wait queue or live).
+    /// Cancels a session wherever it currently is (wait queue, opening, or
+    /// live).
     fn terminate(&mut self, session: u64) {
         if let Some(pos) = self.wait_queue.iter().position(|(id, _, _)| *id == session) {
             let (_, _, events) = self.wait_queue.remove(pos).expect("position just found");
-            let outcome = QueryOutcome {
-                result: TaskResult::Aggregate {
-                    estimate: OnlineStat::new().mean_estimate(),
-                    confidence: self.cfg.confidence,
-                },
-                samples: 0,
-                elapsed: Duration::ZERO,
-                sampler: SamplerKind::RsTree,
-                io_reads: 0,
-                q: None,
-                io_faults: 0,
-                degraded: None,
-                reason: StopReason::Cancelled,
-            };
-            self.done += 1;
-            let _ = events.send(SessionEvent::Done {
-                session,
-                outcome: Box::new(outcome),
-            });
-            return;
-        }
-        if let Some(op) = self.opening.remove(&session) {
+            self.cancel_unstarted(session, &events);
+        } else if let Some(op) = self.opening.remove(&session) {
             // Cancelled in the same control drain that admitted it: the
             // batch has not scattered yet (settle runs after the drain),
             // so no worker stream exists to release.
             self.opening_order.retain(|&id| id != session);
-            let outcome = QueryOutcome {
-                result: TaskResult::Aggregate {
-                    estimate: OnlineStat::new().mean_estimate(),
-                    confidence: self.cfg.confidence,
-                },
-                samples: 0,
-                elapsed: Duration::ZERO,
-                sampler: SamplerKind::RsTree,
-                io_reads: 0,
-                q: None,
-                io_faults: 0,
-                degraded: None,
-                reason: StopReason::Cancelled,
-            };
-            self.done += 1;
-            let _ = op.events.send(SessionEvent::Done {
-                session,
-                outcome: Box::new(outcome),
-            });
-            return;
-        }
-        if self.table.contains_key(&session) {
+            self.cancel_unstarted(session, &op.events);
+        } else if self.table.contains_key(&session) {
             self.finish(session, StopReason::Cancelled);
         }
+    }
+
+    /// Emits the zero-sample `Cancelled` outcome of a session that never
+    /// reached a worker.
+    fn cancel_unstarted(&mut self, session: u64, events: &Sender<SessionEvent>) {
+        let outcome = QueryOutcome {
+            result: TaskResult::Aggregate {
+                estimate: OnlineStat::new().mean_estimate(),
+                confidence: self.cfg.confidence,
+            },
+            samples: 0,
+            elapsed: Duration::ZERO,
+            sampler: SamplerKind::RsTree,
+            io_reads: 0,
+            q: None,
+            io_faults: 0,
+            degraded: None,
+            reason: StopReason::Cancelled,
+        };
+        self.done += 1;
+        let _ = events.send(SessionEvent::Done {
+            session,
+            outcome: Box::new(outcome),
+        });
     }
 
     /// One scheduler tick: credit grant, then the round fixpoint, then
@@ -929,36 +918,6 @@ impl Sched {
                 }
                 self.open_left = self.open_left.saturating_sub(1);
             }
-            // Per-session open replies: the scheduler only opens via
-            // `OpenMany`, so these can only be stale strays — banked
-            // defensively if an opening still wants them.
-            ShardReply::Opened {
-                shard,
-                count,
-                session,
-            } => {
-                if let Some(op) = self.opening.get_mut(&session) {
-                    if op.counts[shard].is_none() {
-                        op.counts[shard] = Some(count as u64);
-                    }
-                }
-            }
-            ShardReply::Aborted { shard, session } => {
-                if let Some(op) = self.opening.get_mut(&session) {
-                    if op.counts[shard].is_none() {
-                        op.counts[shard] = Some(0);
-                        op.failures.push((shard, FailReason::Aborted));
-                    }
-                } else {
-                    self.fail_expected(session, shard, FailReason::Aborted);
-                }
-            }
-            ShardReply::Batch {
-                shard,
-                items,
-                session,
-                ..
-            } => self.deliver(session, shard, Some(items)),
             ShardReply::Batches { shard, replies } => {
                 for b in replies {
                     self.deliver(b.session, shard, b.items);

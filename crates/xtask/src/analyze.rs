@@ -7,7 +7,7 @@
 //! |------|------|----------------|
 //! | A1 | `lock-order` | cycles in the lock-acquisition graph of `storm-core`/`storm-store`/`storm-engine` — potential deadlocks |
 //! | A2 | `determinism-taint` | `HashMap`/`HashSet` iteration order, wall-clock (`Instant`/`SystemTime`), or thread-id values reachable from the sampler/estimator API — silent seeded-replay breaks (lint R2's structural sibling) |
-//! | A3 | `protocol-conformance` | shard-protocol enums (those sent over a channel) with variants never constructed or never consumed by a match arm, and `Fill` sends outside any timeout/retry gather wrapper |
+//! | A3 | `protocol-conformance` | shard-protocol enums (those sent over a channel) with variants never constructed or never consumed by a match arm anywhere in their module unit |
 //! | A4 | `hot-loop-alloc` | allocation/`.clone()`/`.collect()` inside a loop of a function the core sampling API can reach — per-sample constant-factor cost on the hot path |
 //! | A5 | `per-item-channel` | per-item channel `send`/`recv` inside a loop when a batched protocol variant is in scope — each message is a context switch the batch variant amortizes |
 //! | A6 | `lock-across-blocking` | a lock guard held across a blocking call (`send`/`recv`/`recv_timeout`/`join`/`sleep`) — every contending thread stalls behind the block |
@@ -75,9 +75,9 @@ pub const PASSES: [Pass; 13] = [
         id: "A3",
         name: "protocol-conformance",
         rationale: "every shard-protocol variant must be both constructed and \
-                    consumed by a match arm in its defining file, and every \
-                    Fill send must sit behind a timeout/retry gather wrapper, \
-                    or the scatter-gather executor can wedge on a lost message",
+                    consumed by a match arm in its defining module, or the \
+                    scatter-gather executor can wedge on a message nobody \
+                    sends or nobody handles",
     },
     Pass {
         id: "A4",
@@ -209,7 +209,7 @@ const A4_SCOPE: [&str; 4] = [
 
 /// Paths A5 examines for per-item channel traffic: the scatter-gather
 /// executor and the store (the two places the workspace does channel IO).
-const A5_SCOPE: [&str; 2] = ["crates/core/src/parallel.rs", "crates/store/src/"];
+const A5_SCOPE: [&str; 2] = ["crates/core/src/parallel", "crates/store/src/"];
 
 /// Path prefixes A7 scans for worker-thread panic exposure (where threads
 /// are spawned: executor, store, engine).
@@ -290,10 +290,28 @@ pub fn analyze_sources_opts(
 ) -> (Vec<Diagnostic>, PassTimings) {
     let t_start = std::time::Instant::now();
     let lexed: Vec<crate::lexer::Lexed> = files.iter().map(|(_, s)| crate::lexer::lex(s)).collect();
+    // A module split over files is one protocol unit: each file also sees
+    // the enums its unit siblings declare (see `front::module_unit`).
+    let decls: Vec<Vec<front::EnumDecl>> = lexed
+        .iter()
+        .map(|l| front::extract_enums(&l.tokens))
+        .collect();
     let facts: Vec<FileFacts> = files
         .iter()
         .zip(&lexed)
-        .map(|((p, _), l)| front::extract(p, l))
+        .enumerate()
+        .map(|(i, ((p, _), l))| {
+            let siblings = files
+                .iter()
+                .zip(&decls)
+                .enumerate()
+                .filter(|(j, ((q, _), _))| {
+                    *j != i && front::module_unit(q) == front::module_unit(p)
+                })
+                .flat_map(|(_, (_, d))| d.iter().cloned())
+                .collect();
+            front::extract_in_unit(p, l, siblings)
+        })
         .collect();
     let graph = callgraph::build(&facts);
     let cfgs: Vec<Vec<Cfg>> = facts
@@ -663,39 +681,37 @@ fn pass_determinism_taint(g: &CallGraph<'_>) -> Vec<Diagnostic> {
 // ---------------------------------------------------------------------------
 
 /// Checks shard-protocol enums — any enum some non-test function sends over
-/// a channel — for produced-and-consumed conformance, and `Fill` sends for
-/// a timeout/retry wrapper.
+/// a channel — for produced-and-consumed conformance. Uses are pooled over
+/// the declaring file's module unit ([`front::module_unit`]), so a protocol
+/// declared in `parallel/protocol.rs`, sent from `parallel/cluster.rs` and
+/// matched in `parallel/worker.rs` is checked as the one protocol it is.
 fn pass_protocol_conformance(g: &CallGraph<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (fi, file) in g.files.iter().enumerate() {
-        // Protocol enums: declared here and sent by some non-test fn.
-        let sent: BTreeSet<&str> = file
-            .fns
+    for file in g.files {
+        if file.enums.is_empty() {
+            continue;
+        }
+        let unit = front::module_unit(&file.path);
+        let uses: Vec<&front::VariantUse> = g
+            .files
             .iter()
+            .filter(|f| front::module_unit(&f.path) == unit)
+            .flat_map(|f| &f.fns)
             .filter(|f| !f.in_test)
             .flat_map(|f| &f.variant_uses)
-            .filter(|u| u.in_send)
-            .map(|u| u.enum_name.as_str())
             .collect();
         for decl in &file.enums {
-            if !sent.contains(decl.name.as_str()) {
+            // Protocol enums: declared here and sent by some non-test fn.
+            if !uses.iter().any(|u| u.in_send && u.enum_name == decl.name) {
                 continue;
             }
             for variant in &decl.variants {
-                let mut produced = false;
-                let mut consumed = false;
-                for f in file.fns.iter().filter(|f| !f.in_test) {
-                    for u in &f.variant_uses {
-                        if u.enum_name == decl.name && &u.variant == variant {
-                            if u.is_consume {
-                                consumed = true;
-                            } else {
-                                produced = true;
-                            }
-                        }
-                    }
-                }
-                let missing = match (produced, consumed) {
+                let of_variant = |consume: bool| {
+                    uses.iter().any(|u| {
+                        u.enum_name == decl.name && &u.variant == variant && u.is_consume == consume
+                    })
+                };
+                let missing = match (of_variant(false), of_variant(true)) {
                     (true, true) => continue,
                     (false, true) => "constructed by no producer site",
                     (true, false) => "consumed by no match arm",
@@ -708,46 +724,11 @@ fn pass_protocol_conformance(g: &CallGraph<'_>) -> Vec<Diagnostic> {
                     rule: "A3",
                     message: format!(
                         "protocol variant `{}::{variant}` is {missing} in \
-                         this file — a half-wired protocol arm wedges or \
+                         this module — a half-wired protocol arm wedges or \
                          leaks shard workers [protocol-conformance]",
                         decl.name
                     ),
                 });
-            }
-        }
-
-        // Fill sends must sit in (or call into) a timeout/retry gather.
-        for (gi, f) in file.fns.iter().enumerate() {
-            if f.in_test {
-                continue;
-            }
-            for u in &f.variant_uses {
-                if u.variant != "Fill"
-                    || u.is_consume
-                    || !u.in_send
-                    || !sent.contains(u.enum_name.as_str())
-                {
-                    continue;
-                }
-                let guarded = g
-                    .reachable_from(&[(fi, gi)])
-                    .iter()
-                    .any(|&id| g.fun(id).has_recv_timeout);
-                if !guarded {
-                    out.push(Diagnostic {
-                        path: file.path.clone(),
-                        line: u.line,
-                        col: u.col,
-                        rule: "A3",
-                        message: format!(
-                            "`{}::Fill` sent from `{}` with no recv_timeout \
-                             in itself or any callee — a lost reply blocks \
-                             the gather forever [protocol-conformance]",
-                            u.enum_name,
-                            f.key()
-                        ),
-                    });
-                }
             }
         }
     }
@@ -819,13 +800,12 @@ fn pass_per_item_channel(g: &CallGraph<'_>, cfgs: &[Vec<Cfg>]) -> Vec<Diagnostic
         if !in_scope(&file.path, &A5_SCOPE) {
             continue;
         }
-        // "Batched variant in scope": a same-file protocol-enum variant or
-        // fn named after batching. Purely lexical, like the rest of the
+        // "Batched variant in scope": a same-unit protocol-enum variant or
+        // same-file fn named after batching. Purely lexical, like the rest of the
         // front end — the point is to fire only where a batched
         // alternative demonstrably exists.
         let batched: Option<String> = file
-            .enums
-            .iter()
+            .visible_enums()
             .flat_map(|e| e.variants.iter().map(move |v| format!("{}::{v}", e.name)))
             .find(|v| v.to_lowercase().contains("batch"))
             .or_else(|| {

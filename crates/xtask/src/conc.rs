@@ -85,11 +85,11 @@ const A11_SCOPE: [&str; 3] = [
 
 /// Paths A12 runs the protocol automaton over: the shard protocol's two
 /// issuing sides (executor and scheduler).
-const A12_SCOPE: [&str; 2] = ["crates/core/src/parallel.rs", "crates/server/src/"];
+const A12_SCOPE: [&str; 2] = ["crates/core/src/parallel", "crates/server/src/"];
 
 /// Path prefixes A13 checks for blocking-channel hazards.
 const A13_SCOPE: [&str; 3] = [
-    "crates/core/src/parallel.rs",
+    "crates/core/src/parallel",
     "crates/store/src/",
     "crates/server/src/",
 ];
@@ -163,7 +163,7 @@ pub struct ProtoSend {
     /// Token index of the `send`/`try_send` ident (joins to
     /// [`crate::cfg::CfgCall::tok`] for the basic block).
     pub send_tok: usize,
-    /// The enum declared in this file.
+    /// The enum, declared in this file's module unit.
     pub enum_name: String,
     /// The variant named in the payload.
     pub variant: String,
@@ -207,10 +207,10 @@ pub struct ConcFacts {
 pub fn extract(facts: &FileFacts, lex: &Lexed) -> ConcFacts {
     let toks = &lex.tokens;
     let mut out = ConcFacts::default();
-    // Enum declarations of this file, for send-payload variant matching.
+    // Enum declarations of this file's module unit, for send-payload
+    // variant matching.
     let enums: BTreeMap<&str, BTreeSet<&str>> = facts
-        .enums
-        .iter()
+        .visible_enums()
         .map(|e| {
             (
                 e.name.as_str(),
@@ -478,23 +478,23 @@ pub fn pass_epoch_pin(
 /// Protocol operation classes, by exact variant / method name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ProtoOp {
-    /// `Open`/`OpenMany` variants, `open_many` calls.
+    /// The `OpenMany` variant, `open_many`/`open_shard` calls.
     Open,
-    /// `Fill`/`FillMany` variants, `fill_many` calls.
+    /// The `FillMany` variant, `fill_many` calls.
     Fill,
-    /// `Close`/`CloseMany` variants, `close_many`/`close_session` calls.
+    /// The `CloseMany` variant, `close_many` calls.
     Close,
     /// `Swap` variants, `install_epoch` calls.
     Swap,
 }
 
 /// Exact variant-name classification (substrings would misread replies
-/// like `Opened`).
+/// like `Opens`).
 fn variant_op(v: &str) -> Option<ProtoOp> {
     match v {
-        "Open" | "OpenMany" => Some(ProtoOp::Open),
-        "Fill" | "FillMany" => Some(ProtoOp::Fill),
-        "Close" | "CloseMany" => Some(ProtoOp::Close),
+        "OpenMany" => Some(ProtoOp::Open),
+        "FillMany" => Some(ProtoOp::Fill),
+        "CloseMany" => Some(ProtoOp::Close),
         "Swap" => Some(ProtoOp::Swap),
         _ => None,
     }
@@ -504,9 +504,9 @@ fn variant_op(v: &str) -> Option<ProtoOp> {
 /// which the name-linked call graph would over-resolve.
 const PROTO_METHODS: [(&str, ProtoOp); 5] = [
     ("open_many", ProtoOp::Open),
+    ("open_shard", ProtoOp::Open),
     ("fill_many", ProtoOp::Fill),
     ("close_many", ProtoOp::Close),
-    ("close_session", ProtoOp::Close),
     ("install_epoch", ProtoOp::Swap),
 ];
 

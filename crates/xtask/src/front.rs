@@ -15,7 +15,9 @@
 //!   requirement is what separates `guard.read()` from `file.read(&mut
 //!   buf)`);
 //! * **channel protocol facts** — `Enum::Variant` uses for enums *declared
-//!   in the same file*, classified producer vs consumer (a use whose
+//!   in the same module unit* (the file, plus its siblings when a module is
+//!   split over `foo.rs` + `foo/*.rs` — see [`module_unit`]), classified
+//!   producer vs consumer (a use whose
 //!   following tokens reach `=>` is a match arm) and flagged when they sit
 //!   inside a `send(…)`/`try_send(…)` argument list;
 //! * **determinism facts** — iteration over variables declared as
@@ -108,7 +110,7 @@ pub struct Fact {
     pub col: u32,
 }
 
-/// One `Enum::Variant` use of a same-file enum.
+/// One `Enum::Variant` use of a same-unit enum.
 #[derive(Debug, Clone)]
 pub struct VariantUse {
     /// The enum's name.
@@ -148,11 +150,8 @@ pub struct FnSummary {
     pub locks: Vec<LockSite>,
     /// Determinism facts.
     pub facts: Vec<Fact>,
-    /// Same-file protocol-enum variant uses.
+    /// Same-unit protocol-enum variant uses.
     pub variant_uses: Vec<VariantUse>,
-    /// Whether the body calls `recv_timeout`/`recv_deadline` (the signal
-    /// A3 accepts as a timeout/retry gather wrapper).
-    pub has_recv_timeout: bool,
     /// Token-index span of the body braces (`{` .. `}`, inclusive) in the
     /// file's token stream — [`crate::cfg`] rebuilds block structure from
     /// the retained tokens rather than duplicating them here.
@@ -189,6 +188,8 @@ pub struct FileFacts {
     pub fns: Vec<FnSummary>,
     /// Enum declarations (for protocol conformance).
     pub enums: Vec<EnumDecl>,
+    /// Enums declared by the other files of this file's [`module_unit`].
+    pub unit_enums: Vec<EnumDecl>,
     /// Variable/field names declared with a `HashMap`/`HashSet` type or
     /// initializer anywhere in the file.
     pub hash_vars: BTreeSet<String>,
@@ -225,11 +226,38 @@ const HASH_ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// Extracts [`FileFacts`] from one lexed source file.
+impl FileFacts {
+    /// Every enum whose variants this file can name as protocol traffic:
+    /// its own declarations, then its unit siblings'.
+    pub fn visible_enums(&self) -> impl Iterator<Item = &EnumDecl> {
+        self.enums.iter().chain(&self.unit_enums)
+    }
+}
+
+/// The module a file belongs to for protocol purposes: a module split over
+/// `a/parallel.rs` + `a/parallel/*.rs` is one unit (`a/parallel`), so the
+/// enum declared in one of its files is matched against sends and match
+/// arms in the others. A file directly under `src/` is its own unit.
+pub fn module_unit(path: &str) -> &str {
+    let stem = path.strip_suffix(".rs").unwrap_or(path);
+    match stem.rsplit_once('/') {
+        Some((dir, _)) if dir.rsplit('/').next() != Some("src") => dir,
+        _ => stem,
+    }
+}
+
+/// Extracts [`FileFacts`] from one lexed source file that is its whole
+/// module unit.
 pub fn extract(rel_path: &str, lexed: &Lexed) -> FileFacts {
+    extract_in_unit(rel_path, lexed, Vec::new())
+}
+
+/// [`extract`] for a file whose unit siblings declare `unit_enums`.
+pub fn extract_in_unit(rel_path: &str, lexed: &Lexed, unit_enums: Vec<EnumDecl>) -> FileFacts {
     let toks = &lexed.tokens;
     let test_regions = rules::test_regions(toks);
     let enums = extract_enums(toks);
+    let visible: Vec<EnumDecl> = enums.iter().chain(&unit_enums).cloned().collect();
     let hash_vars = extract_hash_vars(toks);
     let impls = extract_impl_regions(toks);
 
@@ -255,14 +283,13 @@ pub fn extract(rel_path: &str, lexed: &Lexed) -> FileFacts {
                         locks: Vec::new(),
                         facts: Vec::new(),
                         variant_uses: Vec::new(),
-                        has_recv_timeout: false,
                         body_span: (body_start, body_end),
                     };
                     extract_body_facts(
                         toks,
                         body_start,
                         body_end,
-                        &enums,
+                        &visible,
                         &hash_vars,
                         &mut summary,
                     );
@@ -281,6 +308,7 @@ pub fn extract(rel_path: &str, lexed: &Lexed) -> FileFacts {
         path: rel_path.to_string(),
         fns,
         enums,
+        unit_enums,
         hash_vars,
     }
 }
@@ -440,7 +468,7 @@ fn extract_impl_regions(toks: &[Token]) -> Vec<(usize, usize, String)> {
 }
 
 /// All `enum Name { Variant, … }` declarations.
-fn extract_enums(toks: &[Token]) -> Vec<EnumDecl> {
+pub(crate) fn extract_enums(toks: &[Token]) -> Vec<EnumDecl> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -630,9 +658,6 @@ fn extract_body_facts(
                 } else {
                     None
                 };
-                if name == "recv_timeout" || name == "recv_deadline" {
-                    summary.has_recv_timeout = true;
-                }
                 // Lock acquisition: zero-argument `.lock()`-family method.
                 if let Some(kind) = lock_kind(name) {
                     if is_method && is_punct(toks, i + 2, ')') {
@@ -976,12 +1001,29 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_flag_and_test_region() {
+    fn module_unit_groups_a_split_module_only() {
+        assert_eq!(
+            module_unit("crates/core/src/parallel.rs"),
+            "crates/core/src/parallel"
+        );
+        assert_eq!(
+            module_unit("crates/core/src/parallel/worker.rs"),
+            "crates/core/src/parallel"
+        );
+        assert_eq!(
+            module_unit("crates/core/src/ingest.rs"),
+            "crates/core/src/ingest"
+        );
+        assert_eq!(module_unit("src/lib.rs"), "src/lib");
+    }
+
+    #[test]
+    fn cfg_test_region_marks_its_fns() {
         let f = facts(
             "fn g(rx: &Receiver<u8>) { let _ = rx.recv_timeout(d); }\n\
              #[cfg(test)]\nmod tests {\n    fn t() { let m = x.lock(); }\n}\n",
         );
-        assert!(f.fns[0].has_recv_timeout);
+        assert!(!f.fns[0].in_test);
         let t = f.fns.iter().find(|f| f.name == "t").expect("test fn");
         assert!(t.in_test);
     }

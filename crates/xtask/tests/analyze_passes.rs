@@ -83,10 +83,9 @@ fn a2_quiet_outside_the_output_cone() {
 // ---------------------------------------------------------------- A3
 
 #[test]
-fn a3_fires_on_unconsumed_variant_and_unguarded_fill() {
+fn a3_fires_on_unconsumed_variant() {
     let diags = analyze_fixture("a3_bad.rs", "crates/engine/src/a3_bad.rs");
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    // Sorted by line: the enum declaration first, the Fill send second.
+    assert_eq!(diags.len(), 1, "{diags:?}");
     let unconsumed = &diags[0];
     assert_eq!(
         (
@@ -95,7 +94,7 @@ fn a3_fires_on_unconsumed_variant_and_unguarded_fill() {
             unconsumed.line,
             unconsumed.col
         ),
-        ("A3", "crates/engine/src/a3_bad.rs", 4, 1)
+        ("A3", "crates/engine/src/a3_bad.rs", 3, 1)
     );
     assert!(
         unconsumed
@@ -104,24 +103,35 @@ fn a3_fires_on_unconsumed_variant_and_unguarded_fill() {
         "{}",
         unconsumed.message
     );
-    let unguarded = &diags[1];
-    // `ShardCmd::Fill` on line 12, column of the `Fill` token.
+}
+
+#[test]
+fn a3_pools_a_protocol_over_its_module_unit() {
+    // The enum lives in one file of a split module, its producer and
+    // consumer in two others: one protocol, checked as one. Drop the
+    // consumer file and the declaring file is flagged; move the producer
+    // outside the unit and the enum is no protocol at all.
+    let decl = "enum Cmd {\n    Go,\n}\n";
+    let produce = "fn scatter(tx: &Sender) {\n    let _ = tx.send(Cmd::Go);\n}\n";
+    let consume = "fn worker(rx: &Receiver) {\n    match rx.recv() {\n        Ok(Cmd::Go) => {}\n        _ => {}\n    }\n}\n";
+    let file = |path: &str, src: &str| (path.to_string(), src.to_string());
+    let unit = [
+        file("crates/engine/src/proto.rs", decl),
+        file("crates/engine/src/proto/chan.rs", produce),
+        file("crates/engine/src/proto/worker.rs", consume),
+    ];
+    assert!(analyze_sources(&unit).is_empty());
+    let diags = analyze_sources(&unit[..2]);
+    assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(
-        (
-            unguarded.rule,
-            unguarded.path.as_str(),
-            unguarded.line,
-            unguarded.col
-        ),
-        ("A3", "crates/engine/src/a3_bad.rs", 12, 31)
+        (diags[0].rule, diags[0].path.as_str(), diags[0].line),
+        ("A3", "crates/engine/src/proto.rs", 1)
     );
-    assert!(
-        unguarded
-            .message
-            .contains("`ShardCmd::Fill` sent from `scatter`"),
-        "{}",
-        unguarded.message
-    );
+    let outside = [
+        file("crates/engine/src/proto.rs", decl),
+        file("crates/engine/src/other.rs", produce),
+    ];
+    assert!(analyze_sources(&outside).is_empty());
 }
 
 #[test]
@@ -441,7 +451,7 @@ fn a12_fires_on_untimely_swap_and_fill_after_close() {
     );
     assert!(
         fill.message
-            .contains("`Cmd::Fill` sent after a Close-class op"),
+            .contains("`Cmd::FillMany` sent after a Close-class op"),
         "{}",
         fill.message
     );
@@ -558,7 +568,7 @@ fn baseline_suppresses_fixture_findings_end_to_end() {
     let baseline = parse_baseline(&render_baseline(&diags));
     let (new, accepted, stale) = apply_baseline(diags, &baseline);
     assert!(new.is_empty(), "{new:?}");
-    assert_eq!(accepted.len(), 2);
+    assert_eq!(accepted.len(), 1);
     assert!(stale.is_empty(), "{stale:?}");
 }
 

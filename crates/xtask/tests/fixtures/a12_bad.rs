@@ -5,9 +5,9 @@
 //! property) stays quiet.
 
 pub enum Cmd {
-    Open(u64),
-    Fill(u64),
-    Close(u64),
+    OpenMany(u64),
+    FillMany(u64),
+    CloseMany(u64),
     Swap(u64),
 }
 
@@ -18,7 +18,7 @@ pub struct Lane {
 
 impl Lane {
     pub fn open(&self, session: u64) {
-        self.cmd.send(Cmd::Open(session)).ok();
+        self.cmd.send(Cmd::OpenMany(session)).ok();
     }
 
     pub fn hot_swap(&self, epoch: u64) {
@@ -26,8 +26,8 @@ impl Lane {
     }
 
     pub fn teardown(&self, session: u64) {
-        self.cmd.send(Cmd::Close(session)).ok();
-        self.cmd.send(Cmd::Fill(session)).ok();
+        self.cmd.send(Cmd::CloseMany(session)).ok();
+        self.cmd.send(Cmd::FillMany(session)).ok();
         let _ = self.reply.recv_timeout(Duration::from_millis(5));
     }
 }
@@ -45,9 +45,9 @@ impl Rebuilder {
 pub fn pump(rx: &Receiver<Cmd>) {
     while let Ok(cmd) = rx.recv_timeout(Duration::from_millis(5)) {
         match cmd {
-            Cmd::Open(_) => {}
-            Cmd::Fill(_) => {}
-            Cmd::Close(_) => {}
+            Cmd::OpenMany(_) => {}
+            Cmd::FillMany(_) => {}
+            Cmd::CloseMany(_) => {}
             Cmd::Swap(_) => {}
         }
     }

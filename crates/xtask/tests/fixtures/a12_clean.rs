@@ -4,9 +4,9 @@
 //! only by `install_epoch`, called only from `handle_ctrl`.
 
 pub enum Cmd {
-    Open(u64),
-    Fill(u64),
-    Close(u64),
+    OpenMany(u64),
+    FillMany(u64),
+    CloseMany(u64),
     Swap(u64),
 }
 
@@ -17,17 +17,17 @@ pub struct Lane {
 
 impl Lane {
     pub fn serve(&self, session: u64) {
-        self.cmd.send(Cmd::Open(session)).ok();
-        self.cmd.send(Cmd::Fill(session)).ok();
+        self.cmd.send(Cmd::OpenMany(session)).ok();
+        self.cmd.send(Cmd::FillMany(session)).ok();
         let _ = self.reply.recv_timeout(Duration::from_millis(5));
-        self.cmd.send(Cmd::Close(session)).ok();
+        self.cmd.send(Cmd::CloseMany(session)).ok();
     }
 
     pub fn drive(&self, sessions: &[u64]) {
         for &s in sessions {
-            self.cmd.send(Cmd::Fill(s)).ok();
+            self.cmd.send(Cmd::FillMany(s)).ok();
             let _ = self.reply.recv_timeout(Duration::from_millis(5));
-            self.cmd.send(Cmd::Close(s)).ok();
+            self.cmd.send(Cmd::CloseMany(s)).ok();
         }
     }
 
@@ -43,9 +43,9 @@ impl Lane {
 pub fn pump(rx: &Receiver<Cmd>) {
     while let Ok(cmd) = rx.recv_timeout(Duration::from_millis(5)) {
         match cmd {
-            Cmd::Open(_) => {}
-            Cmd::Fill(_) => {}
-            Cmd::Close(_) => {}
+            Cmd::OpenMany(_) => {}
+            Cmd::FillMany(_) => {}
+            Cmd::CloseMany(_) => {}
             Cmd::Swap(_) => {}
         }
     }

@@ -1,22 +1,21 @@
-//! Known-bad A3 fixture: `ShardCmd::Drain` is sent but never matched,
-//! and the `Fill` send has no timeout-guarded gather below it.
+//! Known-bad A3 fixture: `ShardCmd::Drain` is sent but never matched.
 
 enum ShardCmd {
-    Open,
-    Fill,
+    OpenMany,
+    FillMany,
     Drain,
 }
 
 fn scatter(tx: &Sender) {
-    let _ = tx.send(ShardCmd::Open);
-    let _ = tx.send(ShardCmd::Fill);
+    let _ = tx.send(ShardCmd::OpenMany);
+    let _ = tx.send(ShardCmd::FillMany);
     let _ = tx.send(ShardCmd::Drain);
 }
 
 fn worker(rx: &Receiver) {
     match rx.recv() {
-        Ok(ShardCmd::Open) => {}
-        Ok(ShardCmd::Fill) => {}
+        Ok(ShardCmd::OpenMany) => {}
+        Ok(ShardCmd::FillMany) => {}
         _ => {}
     }
 }

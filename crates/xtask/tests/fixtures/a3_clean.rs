@@ -1,23 +1,23 @@
 //! Known-clean A3 fixture: every `ShardCmd` variant is both produced
-//! and consumed, and the `Fill` send sits in a timeout-guarded gather.
+//! and consumed.
 
 enum ShardCmd {
-    Open,
-    Fill,
+    OpenMany,
+    FillMany,
     Drain,
 }
 
 fn scatter_gather(tx: &Sender, rx: &Receiver) {
-    let _ = tx.send(ShardCmd::Open);
-    let _ = tx.send(ShardCmd::Fill);
+    let _ = tx.send(ShardCmd::OpenMany);
+    let _ = tx.send(ShardCmd::FillMany);
     let _ = tx.send(ShardCmd::Drain);
     let _ = rx.recv_timeout(GATHER_TIMEOUT);
 }
 
 fn worker(rx: &Receiver) {
     match rx.recv() {
-        Ok(ShardCmd::Open) => {}
-        Ok(ShardCmd::Fill) => {}
+        Ok(ShardCmd::OpenMany) => {}
+        Ok(ShardCmd::FillMany) => {}
         Ok(ShardCmd::Drain) => {}
         _ => {}
     }
