@@ -22,13 +22,15 @@
 //! total cluster work, the *maximum* is the critical path (what a user
 //! would wait for with perfectly parallel shards).
 
+use std::sync::Arc;
+
 use rand::{Rng, RngExt};
 use storm_geo::curve::{HilbertCurve, SpaceFillingCurve};
 use storm_geo::{Point2, Rect2};
 use storm_rtree::Item;
 
 use crate::rs_tree::{RsTree, RsTreeConfig};
-use crate::{SampleMode, SamplerKind, SpatialSampler};
+use crate::{FrozenRsTree, SampleMode, SamplerKind, SpatialSampler};
 
 /// A simulated cluster: Hilbert-range-partitioned shards, each with its
 /// own RS-tree.
@@ -175,33 +177,33 @@ impl DistributedRsTree {
         false
     }
 
-    /// Decomposes the cluster into its shards and routing state so the
-    /// parallel executor can move each shard into its own worker thread.
-    pub(crate) fn into_parts(self) -> (Vec<RsTree<2>>, Vec<u64>, HilbertCurve, Rect2) {
-        (self.shards, self.boundaries, self.curve, self.bounds)
+    /// Snapshots every shard into its read-optimized frozen form — the
+    /// unit the parallel executor holds, swaps and serves. The freezes run
+    /// concurrently, one scoped thread per shard; `self` is only read, so
+    /// the caller keeps updating it and freezes again for the next epoch.
+    pub fn freeze_shards(&self) -> Vec<Arc<FrozenRsTree<2>>> {
+        std::thread::scope(|scope| {
+            let freezes: Vec<_> = self
+                .shards
+                .iter()
+                .map(|shard| scope.spawn(|| shard.freeze()))
+                .collect();
+            freezes
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(frozen) => Arc::new(frozen),
+                    // A freeze has no contained-failure mode: re-raise on
+                    // the caller's thread, as the serial loop would have.
+                    Err(panic) => std::panic::resume_unwind(panic),
+                })
+                .collect()
+        })
     }
 
-    /// Reassembles a cluster from parts produced by
-    /// [`DistributedRsTree::into_parts`] (shard order must be preserved).
-    pub(crate) fn from_parts(
-        shards: Vec<RsTree<2>>,
-        boundaries: Vec<u64>,
-        curve: HilbertCurve,
-        bounds: Rect2,
-    ) -> Self {
-        DistributedRsTree {
-            shards,
-            boundaries,
-            curve,
-            bounds,
-        }
-    }
-
-    /// Moves every shard into its own worker thread, returning the
-    /// parallel scatter-gather executor. [`crate::ParallelRsCluster::join`]
-    /// reverses the move.
+    /// Freezes every shard and starts one worker thread per frozen shard,
+    /// returning the parallel scatter-gather executor.
     pub fn into_parallel(self) -> crate::ParallelRsCluster {
-        crate::ParallelRsCluster::from_distributed(self)
+        crate::ParallelRsCluster::from_frozen(self.freeze_shards())
     }
 
     /// Opens a scatter/gather sampling stream for `query`.

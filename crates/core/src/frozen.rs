@@ -28,13 +28,10 @@
 
 use std::sync::Arc;
 
-use rand::seq::SliceRandom;
 use rand::{Rng, RngExt};
 use storm_geo::Rect;
 use storm_rtree::{FrozenCone, FrozenConeEntry, FrozenRTree, Item};
 
-use crate::ls_tree::{level_of, level_u32, LsTree};
-use crate::query_first::QueryFirst;
 use crate::rs_tree::RsTree;
 use crate::weighted::{SelectorKind, WeightedSelector};
 use crate::{SampleMode, SamplerKind, SpatialSampler};
@@ -99,11 +96,6 @@ impl<const D: usize> FrozenRsTree<D> {
         &self.tree
     }
 
-    /// A shared handle to the arena.
-    pub fn tree_handle(&self) -> Arc<FrozenRTree<D>> {
-        Arc::clone(&self.tree)
-    }
-
     /// Number of data points.
     pub fn len(&self) -> usize {
         self.tree.len()
@@ -164,16 +156,6 @@ impl<const D: usize> RsTree<D> {
     /// there is nothing to replenish and no mutable state to share.
     pub fn freeze(&self) -> FrozenRsTree<D> {
         FrozenRsTree::new(self.tree.freeze())
-    }
-}
-
-impl<const D: usize> LsTree<D> {
-    /// Snapshots every level of the LS-forest into frozen arenas.
-    pub fn freeze(&self) -> FrozenLsForest<D> {
-        FrozenLsForest {
-            levels: self.levels.iter().map(storm_rtree::RTree::freeze).collect(),
-            salt: self.salt,
-        }
     }
 }
 
@@ -380,234 +362,6 @@ impl<const D: usize> SpatialSampler<D> for FrozenSampler<D> {
     fn result_size(&self) -> Option<usize> {
         Some(self.total)
     }
-}
-
-/// A frozen LS-forest: every level's R-tree snapshotted into an arena.
-///
-/// Produced by [`LsTree::freeze`].
-#[derive(Debug)]
-pub struct FrozenLsForest<const D: usize> {
-    levels: Vec<FrozenRTree<D>>,
-    salt: u64,
-}
-
-impl<const D: usize> FrozenLsForest<D> {
-    /// Number of levels in the forest.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The frozen arena of level `i`.
-    pub fn level(&self, i: usize) -> &FrozenRTree<D> {
-        &self.levels[i]
-    }
-
-    /// Opens a sampling stream for `query` over the frozen forest.
-    pub fn sampler(self: &Arc<Self>, query: Rect<D>) -> FrozenLsSampler<D> {
-        FrozenLsSampler {
-            forest: Arc::clone(self),
-            query,
-            next_level: self.levels.len() as isize - 1,
-            started: false,
-            buffer: Vec::new(),
-            pos: 0,
-        }
-    }
-}
-
-/// The LS-tree's frozen online sample stream: identical level-descent
-/// semantics to [`crate::LsSampler`], range-reporting each level from the
-/// frozen arena instead of the boxed tree.
-#[derive(Debug)]
-pub struct FrozenLsSampler<const D: usize> {
-    forest: Arc<FrozenLsForest<D>>,
-    query: Rect<D>,
-    next_level: isize,
-    started: bool,
-    buffer: Vec<Item<D>>,
-    pos: usize,
-}
-
-impl<const D: usize> FrozenLsSampler<D> {
-    fn descend(&mut self, rng: &mut dyn Rng) -> bool {
-        let rng = &mut *rng;
-        let forest = Arc::clone(&self.forest);
-        let salt = forest.salt;
-        loop {
-            if self.next_level < 0 {
-                return false;
-            }
-            let level = self.next_level as usize;
-            self.next_level -= 1;
-            let top = level + 1 == forest.levels.len();
-            self.buffer.clear();
-            self.pos = 0;
-            let buffer = &mut self.buffer;
-            forest.levels[level].for_each_in(&self.query, |item| {
-                // Points that also live in a higher tree were already
-                // reported there; membership is recomputable from the id.
-                if top || level_of(item.id, salt) == level_u32(level) {
-                    buffer.push(item);
-                }
-            });
-            if self.buffer.is_empty() {
-                continue;
-            }
-            self.buffer.shuffle(rng);
-            return true;
-        }
-    }
-}
-
-impl<const D: usize> SpatialSampler<D> for FrozenLsSampler<D> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
-        if !self.started {
-            self.started = true;
-            if !self.descend(rng) {
-                return None;
-            }
-        }
-        loop {
-            if self.pos < self.buffer.len() {
-                let item = self.buffer[self.pos];
-                self.pos += 1;
-                return Some(item);
-            }
-            if !self.descend(rng) {
-                return None;
-            }
-        }
-    }
-
-    fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
-        let before = buf.len();
-        if !self.started {
-            self.started = true;
-            if !self.descend(rng) {
-                return 0;
-            }
-        }
-        while buf.len() - before < k {
-            let want = k - (buf.len() - before);
-            let avail = self.buffer.len() - self.pos;
-            if avail == 0 {
-                if !self.descend(rng) {
-                    break;
-                }
-                continue;
-            }
-            let take = want.min(avail);
-            buf.extend_from_slice(&self.buffer[self.pos..self.pos + take]);
-            self.pos += take;
-        }
-        buf.len() - before
-    }
-
-    fn kind(&self) -> SamplerKind {
-        SamplerKind::LsTree
-    }
-}
-
-/// Baseline SampleFirst over the frozen arena: uniform arena probes with
-/// a dense bitset seen-filter (without replacement), replacing the boxed
-/// variant's `HashSet<u64>`.
-#[derive(Debug)]
-pub struct FrozenSampleFirst<const D: usize> {
-    tree: Arc<FrozenRTree<D>>,
-    query: Rect<D>,
-    mode: SampleMode,
-    /// Probe budget per emitted sample before giving up (the baseline's
-    /// Ω(n/|Q|) trials-per-sample cost is the point of E1/E2).
-    probe_budget: usize,
-    /// Bitset over arena slots already emitted (without replacement).
-    seen: Vec<u64>,
-}
-
-impl<const D: usize> FrozenSampleFirst<D> {
-    /// Creates the baseline sampler over a frozen arena.
-    pub fn new(tree: Arc<FrozenRTree<D>>, query: Rect<D>, mode: SampleMode) -> Self {
-        let words = match mode {
-            SampleMode::WithoutReplacement => tree.len().div_ceil(64),
-            SampleMode::WithReplacement => 0,
-        };
-        FrozenSampleFirst {
-            tree,
-            query,
-            mode,
-            probe_budget: 1_000_000,
-            seen: vec![0u64; words],
-        }
-    }
-
-    /// Overrides the probe budget (per emitted sample).
-    pub fn with_probe_budget(mut self, budget: usize) -> Self {
-        self.probe_budget = budget;
-        self
-    }
-
-    fn probe(&mut self, rng: &mut dyn Rng, budget: usize) -> (Option<usize>, u64) {
-        let rng = &mut *rng;
-        let n = self.tree.len();
-        if n == 0 {
-            return (None, 0);
-        }
-        let mut probes = 0u64;
-        for _ in 0..budget {
-            probes += 1;
-            let i = rng.random_range(0..n);
-            if !self.tree.slot_in(i, &self.query) {
-                continue;
-            }
-            if self.mode == SampleMode::WithoutReplacement {
-                let (word, bit) = (i / 64, i % 64);
-                if self.seen[word] & (1u64 << bit) != 0 {
-                    continue;
-                }
-                self.seen[word] |= 1u64 << bit;
-            }
-            return (Some(i), probes);
-        }
-        (None, probes)
-    }
-}
-
-impl<const D: usize> SpatialSampler<D> for FrozenSampleFirst<D> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
-        let (hit, probes) = self.probe(rng, self.probe_budget);
-        self.tree.io().record_reads(probes);
-        hit.map(|i| self.tree.item(i))
-    }
-
-    fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
-        let before = buf.len();
-        let mut budget = self.probe_budget.saturating_mul(k.max(1));
-        let mut probes = 0u64;
-        while buf.len() - before < k && budget > 0 {
-            let (hit, spent) = self.probe(rng, budget);
-            probes += spent;
-            budget = budget.saturating_sub(spent.max(1) as usize);
-            match hit {
-                Some(i) => buf.push(self.tree.item(i)),
-                None => break,
-            }
-        }
-        self.tree.io().record_reads(probes);
-        buf.len() - before
-    }
-
-    fn kind(&self) -> SamplerKind {
-        SamplerKind::SampleFirst
-    }
-}
-
-/// QueryFirst over the frozen arena: range-report from the SoA columns,
-/// then stream a permutation (delegates to [`QueryFirst::from_results`]).
-pub fn frozen_query_first<const D: usize>(
-    tree: &FrozenRTree<D>,
-    query: &Rect<D>,
-    mode: SampleMode,
-) -> QueryFirst<D> {
-    QueryFirst::from_results(tree.query(query), mode)
 }
 
 #[cfg(test)]
@@ -819,61 +573,5 @@ mod tests {
         // rounding but demand true sub-linear accounting.
         assert!(reads <= 70, "batched frozen draws cost {reads} reads");
         assert!(reads >= 64, "block ledger under-charges ({reads} reads)");
-    }
-
-    #[test]
-    fn frozen_ls_stream_is_a_permutation() {
-        let t = crate::LsTree::bulk_load(
-            grid_items(5000),
-            storm_rtree::RTreeConfig::with_fanout(16),
-            0xC0FFEE,
-        );
-        let f = Arc::new(t.freeze());
-        assert_eq!(f.num_levels(), t.num_levels());
-        let q = Rect2::from_corners(Point2::xy(10.0, 5.0), Point2::xy(60.0, 30.0));
-        let expected: HashSet<u64> = t.level(0).query(&q).iter().map(|it| it.id).collect();
-        for seed in [1u64, 2, 3] {
-            let mut s = f.sampler(q);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut got = HashSet::new();
-            while let Some(item) = s.next_sample(&mut rng) {
-                assert!(q.contains_point(&item.point));
-                assert!(got.insert(item.id), "seed {seed}: duplicate {}", item.id);
-            }
-            assert_eq!(got, expected, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn frozen_sample_first_covers_the_result() {
-        let t = rs(2000);
-        let f = t.freeze();
-        let q = Rect2::from_corners(Point2::xy(5.0, 1.0), Point2::xy(40.0, 8.0));
-        let expected: HashSet<u64> = t.tree().query(&q).iter().map(|i| i.id).collect();
-        let mut s = FrozenSampleFirst::new(f.tree_handle(), q, SampleMode::WithoutReplacement);
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut got = HashSet::new();
-        while let Some(item) = s.next_sample(&mut rng) {
-            assert!(got.insert(item.id));
-            if got.len() == expected.len() {
-                break;
-            }
-        }
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn frozen_query_first_streams_the_result() {
-        let t = rs(1500);
-        let f = t.freeze();
-        let q = Rect2::from_corners(Point2::xy(5.0, 1.0), Point2::xy(40.0, 8.0));
-        let expected: HashSet<u64> = t.tree().query(&q).iter().map(|i| i.id).collect();
-        let mut s = frozen_query_first(f.tree(), &q, SampleMode::WithoutReplacement);
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut got = HashSet::new();
-        while let Some(item) = s.next_sample(&mut rng) {
-            assert!(got.insert(item.id));
-        }
-        assert_eq!(got, expected);
     }
 }

@@ -39,14 +39,11 @@ pub mod validate;
 mod weighted;
 
 pub use distributed::{DistributedRsTree, DistributedSampler};
-pub use frozen::{
-    frozen_query_first, FrozenLsForest, FrozenLsSampler, FrozenRsTree, FrozenSampleFirst,
-    FrozenSampler,
-};
+pub use frozen::{FrozenRsTree, FrozenSampler};
 pub use ingest::{CompositeSampler, DeltaBuffer, EpochState, IngestConfig, IngestIndex};
 pub use ls_tree::{LsSampler, LsTree};
 pub use parallel::{
-    CloseError, FillReq, JoinOutcome, OpenReq, ParallelRsCluster, ParallelSampler, SessionBatch,
+    CloseError, EpochError, FillReq, OpenReq, ParallelRsCluster, ParallelSampler, SessionBatch,
     SessionOpen, ShardReply, StreamCore,
 };
 pub use query_first::QueryFirst;

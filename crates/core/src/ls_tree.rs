@@ -42,7 +42,7 @@ const MAX_LEVELS: usize = 48;
 /// Converts a level index into the `u32` domain of [`level_of`]. Level
 /// indices never exceed [`MAX_LEVELS`], so the conversion saturates rather
 /// than truncates on (impossible) overflow.
-pub(crate) fn level_u32(level: usize) -> u32 {
+fn level_u32(level: usize) -> u32 {
     u32::try_from(level).unwrap_or(u32::MAX)
 }
 

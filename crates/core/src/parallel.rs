@@ -2,10 +2,16 @@
 //!
 //! [`crate::DistributedRsTree`] gathers its shards sequentially on the
 //! caller's thread; this module is the production-shaped executor: every
-//! shard's `RsTree` moves into its own long-lived worker thread, queries
-//! are scattered as messages, and sample batches are gathered over
-//! channels. The protocol mirrors the paper's cluster deployment — the
-//! coordinator talks to shard servers, each of which does its own I/O.
+//! shard is an immutable frozen snapshot (`Arc<FrozenRsTree<2>>`) served
+//! by its own long-lived worker thread, queries are scattered as
+//! messages, and sample batches are gathered over channels. The frozen
+//! snapshot is the only shard currency here — what a cluster is built
+//! from ([`ParallelRsCluster::from_frozen`]), what a worker holds, and
+//! what an epoch install swaps in — so a boxed tree's
+//! [`freeze`](crate::RsTree::freeze) and an [`crate::IngestIndex`] run
+//! enter the same way, uncopied. The protocol mirrors the paper's cluster
+//! deployment — the coordinator talks to shard servers, each of which
+//! does its own I/O.
 //!
 //! ## Protocol
 //!
@@ -19,7 +25,8 @@
 //! | `OpenMany`              | [`OpenReq`]s + hook, reply sender | `Opens`: one [`SessionOpen`] count each |
 //! | `FillMany`              | [`FillReq`]s `{session, n, seq}`  | `Batches`: one [`SessionBatch`] each    |
 //! | `CloseMany`             | session ids                      | —                                      |
-//! | `Swap` / `Shutdown`     | a re-frozen shard tree / nothing | —                                      |
+//! | `Swap`                  | the next frozen snapshot (`Arc`) | —                                      |
+//! | `Shutdown`              | nothing; the worker exits        | —                                      |
 //!
 //! Every stream carries a cluster-unique **session** id (allocated from an
 //! atomic counter, so [`ParallelRsCluster::sampler`] needs only `&self`
@@ -90,10 +97,10 @@
 //!
 //! - **Panic containment** — a worker serves each open and each fill under
 //!   `catch_unwind`, so a panic (genuine or injected) poisons only the one
-//!   stream it hit, never the shard's tree or any co-tenant stream: the
-//!   poisoned entry keeps its reply channel, answers every later fill with
-//!   `items: None`, and the worker keeps serving everything else. [`ParallelRsCluster::join`] reassembles the cluster without
-//!   `resume_unwind`.
+//!   stream it hit, never the shard's snapshot or any co-tenant stream:
+//!   the poisoned entry keeps its reply channel, answers every later fill
+//!   with `items: None`, and the worker keeps serving everything else —
+//!   a fresh stream on the same shard is whole again.
 //! - **Timeout + bounded retry** — when recovery is active (a
 //!   [`FaultHook`](storm_faultkit::FaultHook) is installed or a [`RetryPolicy`](storm_faultkit::RetryPolicy) was set), gathers use
 //!   `recv_timeout` with exponential backoff and re-send the *same*
@@ -132,7 +139,7 @@ mod stream_core;
 mod tests;
 mod worker;
 
-pub use cluster::{CloseError, JoinOutcome, ParallelRsCluster};
+pub use cluster::{CloseError, EpochError, ParallelRsCluster};
 pub use protocol::{FillReq, OpenReq, SessionBatch, SessionOpen, ShardReply};
 pub use sampler::ParallelSampler;
 pub use stream_core::StreamCore;

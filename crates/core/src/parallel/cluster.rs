@@ -7,14 +7,12 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
 use storm_faultkit::{FaultHook, RetryPolicy};
-use storm_geo::curve::HilbertCurve;
 use storm_geo::Rect2;
 
 use super::protocol::{FillReq, OpenManyArgs, OpenReq, ShardCmd, ShardReply};
 use super::sampler::ParallelSampler;
 use super::worker::run_shard;
-use crate::rs_tree::RsTree;
-use crate::{DistributedRsTree, SampleMode};
+use crate::{FrozenRsTree, SampleMode};
 
 /// Typed error from [`ParallelRsCluster`] teardown paths: the shard's
 /// command channel was already disconnected (its worker thread is gone).
@@ -36,27 +34,37 @@ impl std::fmt::Display for CloseError {
 
 impl std::error::Error for CloseError {}
 
-/// Result of [`ParallelRsCluster::try_join`]: the reassembled sequential
-/// cluster plus any shards whose trees were lost to uncaught worker-thread
-/// panics (panics *inside* a stream are contained and never reach here).
-#[derive(Debug)]
-pub struct JoinOutcome {
-    /// The cluster rebuilt from the surviving shards, with the lost
-    /// shards' curve ranges merged into their successors.
-    pub tree: DistributedRsTree,
-    /// Indices (in pre-join numbering) of shards whose trees were lost.
-    pub lost_shards: Vec<usize>,
+/// Typed refusal from [`ParallelRsCluster::install_epoch`]: the offered
+/// epoch does not have exactly one shard per worker. Nothing was swapped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochError {
+    /// Shard workers in the cluster.
+    pub expected: usize,
+    /// Shards in the refused epoch.
+    pub got: usize,
 }
 
-/// One shard server: the command channel plus the thread owning the
-/// shard's `RsTree`. Replies travel over the channel carried in each
-/// open, so the handle itself is send-only and freely shared by
+impl std::fmt::Display for EpochError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "epoch install needs one shard per worker: cluster has {}, epoch has {}",
+            self.expected, self.got
+        )
+    }
+}
+
+impl std::error::Error for EpochError {}
+
+/// One shard server: the command channel plus the thread serving the
+/// shard's frozen snapshot. Replies travel over the channel carried in
+/// each open, so the handle itself is send-only and freely shared by
 /// concurrent coordinators.
 pub(super) struct WorkerHandle {
     pub(super) cmd: Sender<ShardCmd>,
-    thread: Option<JoinHandle<RsTree<2>>>,
-    /// Points owned by this shard (recorded before the move; refreshed by
-    /// epoch swaps — Relaxed, see the cluster's counter ordering policy).
+    thread: Option<JoinHandle<()>>,
+    /// Points in this shard's current snapshot (refreshed by epoch swaps
+    /// — Relaxed, see the cluster's counter ordering policy).
     len: AtomicUsize,
     /// This shard's index (for fault coordinates and error reporting).
     shard: usize,
@@ -100,15 +108,18 @@ impl std::fmt::Debug for WorkerHandle {
     }
 }
 
-/// A [`DistributedRsTree`] whose shards run on their own worker threads.
+/// A pool of frozen shards, each served by its own worker thread.
 ///
-/// Build one with [`DistributedRsTree::into_parallel`]; recover the plain
-/// cluster (for updates or sequential use) with
-/// [`ParallelRsCluster::join`]. Streams opened by
+/// Build one with [`ParallelRsCluster::from_frozen`] — the boxed
+/// reference cluster's `into_parallel` ([`crate::distributed`]) is that
+/// over its frozen shards, and an [`crate::IngestIndex`] run is already
+/// the shard type. The cluster serves reads only: a caller that keeps
+/// updating keeps its mutable index and hands each new frozen epoch to
+/// [`ParallelRsCluster::install_epoch`]. Streams opened by
 /// [`ParallelRsCluster::sampler`] produce the same distribution as the
-/// sequential [`DistributedRsTree::sampler`], and are deterministic under a
-/// fixed seed (see the module docs). Any number of streams may be open
-/// concurrently — `sampler` takes `&self`, per-query state lives in the
+/// sequential gather, and are deterministic under a fixed seed (see the
+/// module docs). Any number of streams may be open concurrently —
+/// `sampler` takes `&self`, per-query state lives in the
 /// [`ParallelSampler`], and the workers multiplex their session tables.
 ///
 /// By default the cluster runs the zero-overhead fail-soft path. Installing
@@ -126,9 +137,6 @@ impl std::fmt::Debug for WorkerHandle {
 #[derive(Debug)]
 pub struct ParallelRsCluster {
     pub(super) workers: Vec<WorkerHandle>,
-    boundaries: Vec<u64>,
-    curve: HilbertCurve,
-    bounds: Rect2,
     /// Fault-injection hook handed to workers per stream.
     fault_hook: Option<Arc<dyn FaultHook>>,
     /// Explicit retry policy; `None` means recovery is off unless a hook
@@ -145,17 +153,16 @@ pub struct ParallelRsCluster {
 }
 
 impl ParallelRsCluster {
-    /// Moves every shard of `d` into its own worker thread.
-    pub fn from_distributed(d: DistributedRsTree) -> Self {
-        let (shards, boundaries, curve, bounds) = d.into_parts();
+    /// Starts one worker thread per frozen shard.
+    pub fn from_frozen(shards: Vec<Arc<FrozenRsTree<2>>>) -> Self {
         let dropped_sends = Arc::new(AtomicU64::new(0));
         let workers = shards
             .into_iter()
             .enumerate()
-            .map(|(s, tree)| {
+            .map(|(s, frozen)| {
                 let (cmd_tx, cmd_rx) = unbounded();
-                let len = tree.len();
-                let thread = std::thread::spawn(move || run_shard(tree, s, &cmd_rx));
+                let len = frozen.len();
+                let thread = std::thread::spawn(move || run_shard(frozen, s, &cmd_rx));
                 WorkerHandle {
                     cmd: cmd_tx,
                     thread: Some(thread),
@@ -167,9 +174,6 @@ impl ParallelRsCluster {
             .collect();
         ParallelRsCluster {
             workers,
-            boundaries,
-            curve,
-            bounds,
             fault_hook: None,
             retry: None,
             next_session: AtomicU64::new(0),
@@ -178,37 +182,32 @@ impl ParallelRsCluster {
         }
     }
 
-    /// Installs a new data epoch: every shard worker's tree is replaced by
-    /// the corresponding shard of `next` (one [`ShardCmd::Swap`] per
-    /// worker, same shard count required) and subsequent opens snapshot
-    /// the new data. Open sessions are never broken: each stream pinned
-    /// its shard snapshots at open and keeps drawing from them until it
-    /// closes, byte-identically to a run with no swap (the epoch-handoff
+    /// Installs a new data epoch: worker `s` swaps to `shards[s]` (one
+    /// [`ShardCmd::Swap`] carrying the `Arc` — nothing is copied or
+    /// re-frozen) and subsequent opens snapshot the new data. Open
+    /// sessions are never broken: each stream pinned its shard snapshots
+    /// at open and keeps drawing from them until it closes,
+    /// byte-identically to a run with no swap (the epoch-handoff
     /// determinism contract, certified by `tests/epoch_handoff.rs`).
     ///
-    /// The cluster's routing metadata (curve boundaries) is kept from
-    /// construction; build `next` with the same shard count and the swap
-    /// is transparent to the open/fill protocol, which consults workers —
-    /// not boundaries — for per-shard counts. Returns the new epoch
-    /// number.
-    ///
-    /// # Panics
-    /// Panics if `next` does not have exactly one shard per worker.
-    pub fn install_epoch(&self, next: DistributedRsTree) -> u64 {
-        let (shards, _boundaries, _curve, _bounds) = next.into_parts();
-        assert_eq!(
-            shards.len(),
-            self.workers.len(),
-            "epoch install requires one shard tree per worker"
-        );
-        for (w, tree) in self.workers.iter().zip(shards) {
-            w.len.store(tree.len(), Ordering::Relaxed);
-            // storm-analyzer: allow(A4): one boxed tree per shard per epoch install — a control-path event, not per-draw work
-            let swap = ShardCmd::Swap(Box::new(tree));
-            // storm-analyzer: allow(A5): each worker owns a private channel and a distinct tree — there is no batched form spanning workers, and installs happen once per epoch
-            w.send(swap, "epoch swap");
+    /// The open/fill protocol asks workers — not routing metadata — for
+    /// per-shard counts, so any partition of the new data into one shard
+    /// per worker is a valid epoch. Returns the new epoch number, or an
+    /// [`EpochError`] — before any worker is touched — when the shard
+    /// count does not match.
+    pub fn install_epoch(&self, shards: Vec<Arc<FrozenRsTree<2>>>) -> Result<u64, EpochError> {
+        if shards.len() != self.workers.len() {
+            return Err(EpochError {
+                expected: self.workers.len(),
+                got: shards.len(),
+            });
         }
-        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
+        for (w, frozen) in self.workers.iter().zip(shards) {
+            w.len.store(frozen.len(), Ordering::Relaxed);
+            // storm-analyzer: allow(A5): a scatter, not per-item traffic — one Swap per worker per install, each on that worker's own channel with that worker's own snapshot
+            w.send(ShardCmd::Swap(frozen), "epoch swap");
+        }
+        Ok(self.epoch.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     /// How many epochs have been installed (0 = still serving the build
@@ -222,8 +221,7 @@ impl ParallelRsCluster {
         self.workers.len()
     }
 
-    /// Total points across the cluster (as of the move; the parallel
-    /// executor serves reads only).
+    /// Total points across the cluster's current epoch.
     pub fn len(&self) -> usize {
         self.workers
             .iter()
@@ -326,59 +324,6 @@ impl ParallelRsCluster {
             }
         }
         err.map_or(Ok(()), Err)
-    }
-
-    /// Shuts the workers down and reassembles the sequential cluster,
-    /// reporting — not re-raising — any shard trees lost to uncaught
-    /// worker-thread panics.
-    ///
-    /// Stream-serving panics are contained inside the worker and can never
-    /// lose a tree; a loss here means the worker loop itself died. Each
-    /// lost shard's curve range is merged into its successor so routing
-    /// stays total over the surviving shards.
-    pub fn try_join(mut self) -> JoinOutcome {
-        let mut shards = Vec::with_capacity(self.workers.len());
-        let mut lost_shards = Vec::new();
-        let workers = std::mem::take(&mut self.workers);
-        for mut w in workers {
-            // storm-analyzer: allow(A5): one Shutdown control message per worker at teardown; runs once per cluster lifetime
-            w.send(ShardCmd::Shutdown, "shutdown");
-            let Some(thread) = w.thread.take() else {
-                continue;
-            };
-            match thread.join() {
-                Ok(tree) => shards.push(tree),
-                Err(_) => {
-                    eprintln!(
-                        "storm-core: parallel: shard {} tree lost to worker panic; \
-                         rebuilding cluster from survivors",
-                        w.shard
-                    );
-                    lost_shards.push(w.shard);
-                }
-            }
-        }
-        // Drop the boundary that carved out each lost shard (descending so
-        // earlier indices stay valid): shard i owned (b[i-1], b[i]], so
-        // removing b[i] (or the last boundary for the last shard) merges
-        // its range into a surviving neighbour.
-        let mut boundaries = std::mem::take(&mut self.boundaries);
-        for &s in lost_shards.iter().rev() {
-            if boundaries.is_empty() {
-                break;
-            }
-            let idx = s.min(boundaries.len() - 1);
-            boundaries.remove(idx);
-        }
-        JoinOutcome {
-            tree: DistributedRsTree::from_parts(shards, boundaries, self.curve, self.bounds),
-            lost_shards,
-        }
-    }
-
-    /// [`ParallelRsCluster::try_join`], discarding the loss report.
-    pub fn join(self) -> DistributedRsTree {
-        self.try_join().tree
     }
 
     /// Opens a parallel scatter-gather stream for `query`.

@@ -8,8 +8,7 @@ use storm_faultkit::FaultHook;
 use storm_geo::Rect2;
 use storm_rtree::Item;
 
-use crate::rs_tree::RsTree;
-use crate::SampleMode;
+use crate::{FrozenRsTree, SampleMode};
 
 /// Everything a worker needs to serve one [`ShardCmd::OpenMany`]: the
 /// per-session requests plus the batch-shared plumbing — one hook, one
@@ -77,8 +76,8 @@ pub struct SessionBatch {
     pub seq: u64,
     /// The drawn (or replayed) samples — possibly short when the shard's
     /// stream ended — or `None` when the stream died to a contained
-    /// panic: the shard's tree survives for other streams, but this one
-    /// is over and the coordinator writes the shard off.
+    /// panic: the shard's snapshot survives for other streams, but this
+    /// one is over and the coordinator writes the shard off.
     pub items: Option<Vec<Item<2>>>,
 }
 
@@ -100,13 +99,13 @@ pub(super) enum ShardCmd {
     /// Tear down every named session's stream (no reply). One list is
     /// shared by the whole scatter.
     CloseMany(Arc<[u64]>),
-    /// Epoch handoff: replace this shard's tree with a re-frozen snapshot
-    /// (no reply). Channel FIFO order is the handoff contract: opens sent
-    /// before the swap see the old snapshot, opens sent after see the new
-    /// one, and in-flight streams keep the snapshot `Arc` they pinned at
-    /// open, so no open session ever observes the switch.
-    Swap(Box<RsTree<2>>),
-    /// Exit the worker loop, returning the shard tree to the joiner.
+    /// Epoch handoff: replace this shard's frozen snapshot (no reply).
+    /// Channel FIFO order is the handoff contract: opens sent before the
+    /// swap see the old snapshot, opens sent after see the new one, and
+    /// in-flight streams keep the snapshot `Arc` they pinned at open, so
+    /// no open session ever observes the switch.
+    Swap(Arc<FrozenRsTree<2>>),
+    /// Exit the worker loop.
     Shutdown,
 }
 

@@ -75,8 +75,6 @@ fn stream_is_deterministic_under_a_fixed_seed() {
             }
             out.extend(buf.iter().map(|it| it.id));
         }
-        drop(s);
-        c.join();
         out
     };
     // Same seeds, different runs: identical sequences despite thread
@@ -126,20 +124,56 @@ fn concurrent_sessions_cannot_perturb_each_other() {
 }
 
 #[test]
-fn join_round_trips_the_cluster() {
-    let c = cluster(2_000, 4);
+fn a_kept_tree_feeds_inserts_to_new_opens_through_install_epoch() {
+    // The executor serves reads only. A caller that keeps updating keeps
+    // its boxed cluster, and hands each re-frozen epoch to the workers.
+    let mut d = DistributedRsTree::bulk_load(grid_items(2_000), 4, RsTreeConfig::with_fanout(16));
+    let c = ParallelRsCluster::from_frozen(d.freeze_shards());
     assert_eq!(c.num_shards(), 4);
     assert_eq!(c.len(), 2_000);
     assert_eq!(c.dropped_sends(), 0);
-    let mut d = c.join();
-    assert_eq!(d.num_shards(), 4);
-    assert_eq!(d.len(), 2_000);
-    // The reassembled cluster still samples correctly.
-    let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(30.0, 10.0));
-    let expected = d.exact_count(&q);
+    // Off-grid inserts, so the probe rectangle holds nothing before them.
+    let q = Rect2::from_corners(Point2::xy(50.01, 9.9), Point2::xy(50.99, 10.1));
     let mut rng = StdRng::seed_from_u64(3);
-    let mut s = d.sampler(q, SampleMode::WithoutReplacement);
-    assert_eq!(s.draw(100_000, &mut rng).len(), expected);
+    let mut before = c.sampler(q, SampleMode::WithoutReplacement, 1);
+    assert_eq!(before.result_size(), Some(0));
+    for j in 0..100u64 {
+        let p = Point2::xy(50.05 + (j % 9) as f64 * 0.1, 10.0 + (j / 9) as f64 * 1e-4);
+        d.insert(Item::new(p, 10_000 + j), &mut rng);
+    }
+    // Not installed yet: the cluster still serves the epoch it started on.
+    assert_eq!(
+        c.sampler(q, SampleMode::WithoutReplacement, 2)
+            .result_size(),
+        Some(0)
+    );
+    assert_eq!(c.install_epoch(d.freeze_shards()), Ok(1));
+    assert_eq!(c.len(), 2_100);
+    let mut s = c.sampler(q, SampleMode::WithoutReplacement, 3);
+    assert_eq!(s.result_size(), Some(100));
+    let got: HashSet<u64> = s.draw(1_000, &mut rng).iter().map(|it| it.id).collect();
+    assert_eq!(got, (10_000..10_100).collect::<HashSet<u64>>());
+    // A stream opened before the install stays on its (empty) epoch.
+    assert!(before.next_sample(&mut rng).is_none());
+}
+
+#[test]
+fn a_mismatched_epoch_is_refused_before_any_worker_swaps() {
+    let c = cluster(2_000, 4);
+    let three = DistributedRsTree::bulk_load(grid_items(300), 3, RsTreeConfig::with_fanout(16));
+    assert_eq!(
+        c.install_epoch(three.freeze_shards()),
+        Err(EpochError {
+            expected: 4,
+            got: 3
+        })
+    );
+    // Nothing moved: same epoch, same data, on every shard.
+    assert_eq!(c.epoch(), 0);
+    assert_eq!(c.len(), 2_000);
+    let everything = Rect2::from_corners(Point2::xy(-1.0, -1.0), Point2::xy(100.0, 100.0));
+    let s = c.sampler(everything, SampleMode::WithoutReplacement, 1);
+    assert_eq!(s.result_size(), Some(2_000));
 }
 
 #[test]
@@ -240,7 +274,7 @@ fn dropped_replies_recover_via_replay_without_duplicates() {
 fn worker_panics_degrade_the_stream_but_spare_the_cluster() {
     // Panic on every fill of shard-site decisions: the panicking
     // shards abort, the stream continues over the survivors, the
-    // losses are reported, and join() still returns every tree.
+    // losses are reported, and the worker keeps serving its shard.
     #[derive(Debug)]
     struct PanicShard0;
     impl FaultHook for PanicShard0 {
@@ -272,14 +306,15 @@ fn worker_panics_degrade_the_stream_but_spare_the_cluster() {
     // Surviving samples + reported loss account for the whole result.
     assert_eq!(got.len() as u64 + d.lost_mass(), declared as u64);
     drop(s);
-    // The panicked worker contained the unwind: its tree survives.
-    let out = c.try_join();
-    assert!(
-        out.lost_shards.is_empty(),
-        "tree lost: {:?}",
-        out.lost_shards
-    );
-    assert_eq!(out.tree.len(), 3_000);
+    // The panicked worker contained the unwind: with the hook gone, a
+    // fresh stream on the same cluster still counts — and drains — all
+    // 3 000 points, shard 0's included.
+    c.clear_fault_hook();
+    let mut s = c.sampler(q, SampleMode::WithoutReplacement, 12);
+    assert_eq!(s.result_size(), Some(3_000));
+    let all: HashSet<u64> = s.draw(4_000, &mut rng).iter().map(|it| it.id).collect();
+    assert_eq!(all.len(), 3_000);
+    assert!(s.degraded().is_some_and(|d| !d.is_degraded()));
 }
 
 #[test]

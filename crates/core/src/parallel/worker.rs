@@ -15,8 +15,7 @@ use storm_rtree::Item;
 use super::protocol::{
     FillReq, OpenManyArgs, OpenReq, SessionBatch, SessionOpen, ShardCmd, ShardReply,
 };
-use crate::rs_tree::RsTree;
-use crate::{mix64, FrozenSampler, SampleMode, SpatialSampler};
+use crate::{mix64, FrozenRsTree, FrozenSampler, SampleMode, SpatialSampler};
 
 /// Live per-stream state in a worker's session table.
 struct StreamState {
@@ -60,7 +59,7 @@ enum StreamSlot {
         /// time so an epoch swap ([`ShardCmd::Swap`]) between open and
         /// first fill cannot change the stream's view: a session always
         /// samples the epoch it opened against, byte-identically.
-        frozen: Arc<crate::FrozenRsTree<2>>,
+        frozen: Arc<FrozenRsTree<2>>,
         /// The range query.
         query: Rect2,
         /// With or without replacement.
@@ -100,20 +99,15 @@ enum FillOutcome {
 }
 
 /// The worker loop: serve any number of concurrently open streams over
-/// the shard's own tree until shutdown, then hand the tree back through
-/// the join handle.
+/// the shard's frozen snapshot until shutdown (or until every coordinator
+/// has dropped its command sender).
 ///
 /// Opens and fills run under `catch_unwind`, so a panic while serving —
 /// injected by a [`FaultHook`] or genuine — poisons only the stream it
-/// hit. The tree survives, the stream's coordinator is told (`count:
-/// None` / `items: None`), and the worker keeps serving every other
-/// stream.
-pub(super) fn run_shard(mut tree: RsTree<2>, shard: usize, cmd: &Receiver<ShardCmd>) -> RsTree<2> {
-    // Freeze once at worker start (and again per epoch swap): every stream
-    // this worker serves runs the read-optimized kernel (SoA arena + alias
-    // descents) instead of walking the boxed tree. The boxed tree is kept
-    // intact purely as the ingest-facing form handed back at join time.
-    let mut frozen = Arc::new(tree.freeze());
+/// hit. The snapshot is immutable and survives, the stream's coordinator
+/// is told (`count: None` / `items: None`), and the worker keeps serving
+/// every other stream.
+pub(super) fn run_shard(mut frozen: Arc<FrozenRsTree<2>>, shard: usize, cmd: &Receiver<ShardCmd>) {
     // The session table: every open stream (or poisoned husk thereof).
     let mut streams: HashMap<u64, StreamEntry> = HashMap::new();
     // Monotone count of streams opened on this worker: the op coordinate
@@ -122,22 +116,17 @@ pub(super) fn run_shard(mut tree: RsTree<2>, shard: usize, cmd: &Receiver<ShardC
     loop {
         // storm-analyzer: allow(A5): worker command loop — each recv is one control message (OpenMany/FillMany/CloseMany/Swap/Shutdown); items never travel here
         // storm-analyzer: allow(A13): parking on the command channel IS the worker's idle state; every coordinator dropping disconnects the recv and exits below
-        let msg = match cmd.recv() {
-            Ok(m) => m,
-            Err(_) => return tree, // every coordinator dropped: exit
+        let Ok(msg) = cmd.recv() else {
+            return; // every coordinator dropped: exit
         };
         match msg {
-            ShardCmd::Shutdown => return tree,
-            ShardCmd::Swap(new_tree) => {
-                // Epoch handoff: subsequent opens snapshot the new frozen
-                // form; streams already tabled keep their pinned Arcs (in
-                // `StreamSlot::Lazy` or inside their `FrozenSampler`), so
-                // open sessions are untouched. The old snapshot is freed
-                // when its last pinning stream closes.
-                tree = *new_tree;
-                // storm-analyzer: allow(A4): one re-freeze per epoch install — a control-path event, not per-draw work
-                frozen = Arc::new(tree.freeze());
-            }
+            ShardCmd::Shutdown => return,
+            // Epoch handoff: subsequent opens snapshot the new frozen
+            // form; streams already tabled keep their pinned Arcs (in
+            // `StreamSlot::Lazy` or inside their `FrozenSampler`), so
+            // open sessions are untouched. The old snapshot is freed
+            // when its last pinning stream closes.
+            ShardCmd::Swap(next) => frozen = next,
             ShardCmd::CloseMany(sessions) => {
                 for session in sessions.iter() {
                     streams.remove(session);
@@ -160,7 +149,7 @@ pub(super) fn run_shard(mut tree: RsTree<2>, shard: usize, cmd: &Receiver<ShardC
 /// retries or writes the shard off). A batch whose coordinator is already
 /// gone leaves nothing behind. Returns the advanced open-op counter.
 pub(super) fn serve_open_many(
-    frozen: &Arc<crate::FrozenRsTree<2>>,
+    frozen: &Arc<FrozenRsTree<2>>,
     shard: usize,
     mut open_ops: u64,
     args: OpenManyArgs,
@@ -237,7 +226,7 @@ pub(super) fn serve_open_many(
             }
             Err(_) => {
                 // Contained: this stream is stillborn, the batch and the
-                // tree are fine. Keep a poisoned entry so straggler fills
+                // snapshot are fine. Keep a poisoned entry so straggler fills
                 // are answered instead of timing out.
                 streams.insert(
                     session,

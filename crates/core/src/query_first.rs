@@ -31,16 +31,6 @@ impl<const D: usize> QueryFirst<D> {
             next: 0,
         }
     }
-
-    /// Builds directly from a pre-materialised result set (used by the
-    /// executor when a previous operator already reported the range).
-    pub fn from_results(results: Vec<Item<D>>, mode: SampleMode) -> Self {
-        QueryFirst {
-            buffer: results,
-            mode,
-            next: 0,
-        }
-    }
 }
 
 impl<const D: usize> SpatialSampler<D> for QueryFirst<D> {

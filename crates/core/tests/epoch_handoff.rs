@@ -10,9 +10,13 @@
 //! `Arc` captured at open. Command-channel FIFO makes "before/after the
 //! swap" exact, not approximate.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use storm_core::{DistributedRsTree, ParallelRsCluster, RsTreeConfig, SampleMode, SpatialSampler};
+use storm_core::{
+    DistributedRsTree, FrozenRsTree, ParallelRsCluster, RsTreeConfig, SampleMode, SpatialSampler,
+};
 use storm_geo::{Point2, Rect2};
 use storm_rtree::Item;
 
@@ -45,8 +49,12 @@ fn cluster() -> ParallelRsCluster {
     DistributedRsTree::bulk_load(old_items(), 4, RsTreeConfig::with_fanout(16)).into_parallel()
 }
 
-fn next_tree() -> DistributedRsTree {
-    DistributedRsTree::bulk_load(new_items(), 4, RsTreeConfig::with_fanout(16))
+fn frozen_shards(items: Vec<Item<2>>) -> Vec<Arc<FrozenRsTree<2>>> {
+    DistributedRsTree::bulk_load(items, 4, RsTreeConfig::with_fanout(16)).freeze_shards()
+}
+
+fn next_epoch() -> Vec<Arc<FrozenRsTree<2>>> {
+    frozen_shards(new_items())
 }
 
 fn query() -> Rect2 {
@@ -69,7 +77,11 @@ fn drain(c: &ParallelRsCluster, swap_after: Option<usize>) -> Vec<u64> {
         ids.extend(buf.iter().map(|item| item.id));
         batches += 1;
         if Some(batches) == swap_after {
-            assert_eq!(c.install_epoch(next_tree()), 1, "first swap is epoch 1");
+            assert_eq!(
+                c.install_epoch(next_epoch()),
+                Ok(1),
+                "first swap is epoch 1"
+            );
         }
     }
     ids
@@ -106,11 +118,9 @@ fn stream_polled_across_swap_matches_the_solo_run_exactly() {
         "post-swap session must cover the new result set"
     );
 
-    // Cluster-wide counters follow the new epoch, and joining returns
-    // the swapped tree.
+    // Cluster-wide counters follow the new epoch.
     assert_eq!(swapped_cluster.epoch(), 1);
     assert_eq!(swapped_cluster.len(), N_NEW);
-    assert_eq!(swapped_cluster.join().len(), N_NEW);
 }
 
 #[test]
@@ -119,7 +129,7 @@ fn stream_opened_but_never_polled_before_swap_still_pins_its_epoch() {
     // Open (the coordinator round-trips shard counts) but do not fill:
     // every shard slot is still lazy when the swap lands.
     let mut s = c.sampler(query(), SampleMode::WithoutReplacement, 7);
-    assert_eq!(c.install_epoch(next_tree()), 1);
+    assert_eq!(c.install_epoch(next_epoch()), Ok(1));
 
     let mut rng = StdRng::seed_from_u64(13);
     let mut ids = Vec::new();
@@ -147,15 +157,8 @@ fn stream_opened_but_never_polled_before_swap_still_pins_its_epoch() {
 fn repeated_swaps_bump_the_epoch_and_retarget_new_sessions() {
     let c = cluster();
     assert_eq!(c.epoch(), 0);
-    assert_eq!(c.install_epoch(next_tree()), 1);
-    assert_eq!(
-        c.install_epoch(DistributedRsTree::bulk_load(
-            old_items(),
-            4,
-            RsTreeConfig::with_fanout(16),
-        )),
-        2
-    );
+    assert_eq!(c.install_epoch(next_epoch()), Ok(1));
+    assert_eq!(c.install_epoch(frozen_shards(old_items())), Ok(2));
     assert_eq!(c.epoch(), 2);
     // Back on the old data set: a fresh session serves it again.
     let ids = drain(&c, None);

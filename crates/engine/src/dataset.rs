@@ -137,16 +137,8 @@ impl Dataset {
         &self.rs
     }
 
-    /// Mutable RS-tree access (for opening boxed RS sampling streams).
-    /// Invalidates the frozen snapshot: the caller may mutate buffers or
-    /// structure, and a stale arena must never serve a later query.
-    pub fn rs_mut(&mut self) -> &mut RsTree<3> {
-        self.frozen = None;
-        &mut self.rs
-    }
-
-    /// The frozen RS-tree snapshot, rebuilding it if an update (or a
-    /// `rs_mut` borrow) invalidated it since the last query.
+    /// The frozen RS-tree snapshot, rebuilding it if an update
+    /// invalidated it since the last query.
     pub fn ensure_frozen(&mut self) -> Arc<FrozenRsTree<3>> {
         if let Some(frozen) = &self.frozen {
             return Arc::clone(frozen);

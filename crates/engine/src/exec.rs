@@ -5,8 +5,8 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 use storm_core::{
-    FrozenSampler, LsSampler, QueryFirst, RandomPath, RsSampler, SampleFirst, SampleMode,
-    SamplerKind, SpatialSampler,
+    FrozenSampler, LsSampler, QueryFirst, RandomPath, SampleFirst, SampleMode, SamplerKind,
+    SpatialSampler,
 };
 use storm_estimators::cluster::OnlineKMeans;
 use storm_estimators::groupby::GroupedMeans;
@@ -56,16 +56,14 @@ fn fetch<'c>(collection: &'c Collection, id: DocId, io_faults: &mut u64) -> Opti
     }
 }
 
-/// One sampler of any method, unified for the executor. The RS sampler
-/// carries its batch scratch inline, so it's boxed to keep the enum small.
+/// One sampler of any method, unified for the executor.
 enum AnySampler<'a> {
     Qf(QueryFirst<3>),
     Sf(SampleFirst<'a, 3>),
     Rp(RandomPath<'a, 3>),
     Ls(LsSampler<'a, 3>),
-    Rs(Box<RsSampler<'a, 3>>),
-    /// Frozen RS kernel; owns an `Arc` of the snapshot, no borrow of the
-    /// data set at all.
+    /// The RS-tree, served by its frozen kernel; owns an `Arc` of the
+    /// snapshot, no borrow of the data set at all.
     Frz(FrozenSampler<3>),
 }
 
@@ -76,7 +74,6 @@ impl SpatialSampler<3> for AnySampler<'_> {
             AnySampler::Sf(s) => s.next_sample(rng),
             AnySampler::Rp(s) => s.next_sample(rng),
             AnySampler::Ls(s) => s.next_sample(rng),
-            AnySampler::Rs(s) => s.next_sample(rng),
             AnySampler::Frz(s) => s.next_sample(rng),
         }
     }
@@ -89,7 +86,6 @@ impl SpatialSampler<3> for AnySampler<'_> {
             AnySampler::Sf(s) => s.next_batch(rng, buf, k),
             AnySampler::Rp(s) => s.next_batch(rng, buf, k),
             AnySampler::Ls(s) => s.next_batch(rng, buf, k),
-            AnySampler::Rs(s) => s.next_batch(rng, buf, k),
             AnySampler::Frz(s) => s.next_batch(rng, buf, k),
         }
     }
@@ -100,7 +96,6 @@ impl SpatialSampler<3> for AnySampler<'_> {
             AnySampler::Sf(_) => SamplerKind::SampleFirst,
             AnySampler::Rp(_) => SamplerKind::RandomPath,
             AnySampler::Ls(_) => SamplerKind::LsTree,
-            AnySampler::Rs(_) => SamplerKind::RsTree,
             AnySampler::Frz(_) => SamplerKind::RsTree,
         }
     }
@@ -487,40 +482,24 @@ pub(crate) fn run_plan(
 
     let mut state = TaskState::new(plan, &ds.cfg, q)?;
 
-    // RS-tree plans run the frozen kernel; (re)build the snapshot before
-    // splitting the borrows below.
-    let frozen = matches!(plan.sampler, SamplerKind::RsTree).then(|| ds.ensure_frozen());
-
-    // Build the sampler over disjoint field borrows so the estimator can
-    // still read the collection while RS holds its mutable borrow.
-    let Dataset {
-        ref mut rs,
-        ref ls,
-        ref items,
-        ref collection,
-        ..
-    } = *ds;
+    // Each arm borrows only the fields its method reads, so the estimator
+    // can still read the collection while the stream is open.
+    let mode = plan.query.mode;
     let mut sampler = match plan.sampler {
-        SamplerKind::QueryFirst => {
-            AnySampler::Qf(QueryFirst::new(rs.tree(), &rect3, plan.query.mode))
-        }
+        SamplerKind::QueryFirst => AnySampler::Qf(QueryFirst::new(ds.rs.tree(), &rect3, mode)),
         SamplerKind::SampleFirst => AnySampler::Sf(
-            SampleFirst::new(items, rect3, plan.query.mode).with_io(rs.tree().io_handle()),
+            SampleFirst::new(&ds.items, rect3, mode).with_io(ds.rs.tree().io_handle()),
         ),
-        SamplerKind::RandomPath => {
-            AnySampler::Rp(RandomPath::new(rs.tree(), rect3, plan.query.mode))
-        }
+        SamplerKind::RandomPath => AnySampler::Rp(RandomPath::new(ds.rs.tree(), rect3, mode)),
         SamplerKind::LsTree => AnySampler::Ls(
-            ls.as_ref()
+            ds.ls
+                .as_ref()
                 .ok_or(EngineError::IndexUnavailable("LS-tree"))?
                 .sampler(rect3),
         ),
-        SamplerKind::RsTree => match &frozen {
-            Some(f) => AnySampler::Frz(f.sampler(&rect3, plan.query.mode)),
-            // Unreachable in practice (`frozen` is built for RsTree
-            // plans above); the boxed stream remains as the fallback.
-            None => AnySampler::Rs(Box::new(rs.sampler(rect3, plan.query.mode))),
-        },
+        // RS-tree plans run the frozen kernel over a snapshot (re)built
+        // here if an update invalidated the last one.
+        SamplerKind::RsTree => AnySampler::Frz(ds.ensure_frozen().sampler(&rect3, mode)),
     };
 
     let term = plan.query.termination;
@@ -561,7 +540,7 @@ pub(crate) fn run_plan(
         }
         for &item in &block {
             samples += 1;
-            state.ingest(collection, item, &mut io_faults)?;
+            state.ingest(&ds.collection, item, &mut io_faults)?;
         }
         if samples >= next_progress {
             let degraded = sampler.degraded().filter(DegradedInfo::is_degraded);

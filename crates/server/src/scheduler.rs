@@ -68,8 +68,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use storm_core::{
-    DistributedRsTree, FillReq, OpenReq, ParallelRsCluster, SampleMode, SamplerKind, ShardReply,
-    StreamCore,
+    EpochError, FillReq, FrozenRsTree, OpenReq, ParallelRsCluster, SampleMode, SamplerKind,
+    ShardReply, StreamCore,
 };
 use storm_engine::session::{Progress, QueryOutcome, StopCheck, StopReason, TaskResult};
 use storm_estimators::OnlineStat;
@@ -200,15 +200,16 @@ enum Ctrl {
     Stats {
         reply: Sender<ServerStats>,
     },
-    /// Epoch handoff: swap the worker pool to a re-frozen data set at the
-    /// next tick boundary. Applied between ticks — never mid-round — so
-    /// no fill is in flight when the swap commands go out; live sessions
-    /// keep their pinned shard snapshots, new admissions open on the new
-    /// epoch.
+    /// Epoch handoff: swap the worker pool to a new set of frozen shards
+    /// at the next tick boundary. Applied between ticks — never mid-round
+    /// — so no fill is in flight when the swap commands go out; live
+    /// sessions keep their pinned shard snapshots, new admissions open on
+    /// the new epoch.
     Install {
-        next: Box<DistributedRsTree>,
-        /// Acked with the cluster's new epoch number once applied.
-        reply: Sender<u64>,
+        shards: Vec<Arc<FrozenRsTree<2>>>,
+        /// Acked with the cluster's new epoch number once applied, or
+        /// with the refusal when the shard count does not fit.
+        reply: Sender<Result<u64, EpochError>>,
     },
     Shutdown,
 }
@@ -263,21 +264,20 @@ impl SessionServer {
         }
     }
 
-    /// Installs a new data epoch: the worker pool swaps to `next` at the
+    /// Installs a new data epoch: worker `s` swaps to `shards[s]` at the
     /// next tick boundary (between rounds, never mid-fill). Sessions open
     /// across the swap keep their pinned shard snapshots and finish on
     /// the epoch they started with; sessions admitted after it serve the
-    /// new data. Blocks until the swap is applied and returns the
-    /// cluster's new epoch number (`None` if the server is gone). `next`
-    /// must have the same shard count as the serving cluster.
-    pub fn install_epoch(&self, next: DistributedRsTree) -> Option<u64> {
+    /// new data. Blocks until the scheduler has answered: `Some(Ok(epoch))`
+    /// once the swap is applied, `Some(Err(_))` when `shards` is not one
+    /// per worker (nothing is swapped and every session carries on),
+    /// `None` if the server is gone.
+    pub fn install_epoch(
+        &self,
+        shards: Vec<Arc<FrozenRsTree<2>>>,
+    ) -> Option<Result<u64, EpochError>> {
         let (tx, rx) = unbounded();
-        self.ctrl
-            .send(Ctrl::Install {
-                next: Box::new(next),
-                reply: tx,
-            })
-            .ok()?;
+        self.ctrl.send(Ctrl::Install { shards, reply: tx }).ok()?;
         // storm-analyzer: allow(A13): install ack barrier — the reply Sender lives only inside the Ctrl message, so scheduler death drops it and this recv wakes with Err -> None
         rx.recv().ok()
     }
@@ -292,8 +292,8 @@ impl SessionServer {
         rx.recv().ok()
     }
 
-    /// Stops the scheduler and returns the worker cluster (e.g. to
-    /// `try_join` it back into a sequential tree).
+    /// Stops the scheduler and returns the worker cluster, still running
+    /// and still on the last installed epoch.
     pub fn shutdown(mut self) -> ParallelRsCluster {
         self.stop();
         let arc = self.cluster.take().expect("shutdown called once");
@@ -548,7 +548,7 @@ impl Sched {
                 }
             }
             Ctrl::Terminate { session } => self.terminate(session),
-            Ctrl::Install { next, reply } => {
+            Ctrl::Install { shards, reply } => {
                 // handle_ctrl runs only at tick boundaries ("on entry no
                 // fills are in flight"), so the swap slots cleanly between
                 // rounds: every stream already open has pinned its shard
@@ -556,8 +556,7 @@ impl Sched {
                 // Sessions admitted earlier in this same drain open first,
                 // so "admitted before the install" means "old epoch".
                 self.settle_opens();
-                let epoch = self.cluster.install_epoch(*next);
-                let _ = reply.send(epoch);
+                let _ = reply.send(self.cluster.install_epoch(shards));
             }
             Ctrl::Stats { reply } => {
                 let _ = reply.send(ServerStats {

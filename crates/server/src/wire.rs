@@ -63,10 +63,10 @@ const EV_DONE: u8 = 4;
 /// A decoded server event as seen by a wire client.
 ///
 /// Encoding (after the tag byte): `Admitted`/`Rejected` carry the u64
-/// session; `Progress` carries u64 session, u64 samples, f64 estimate,
-/// f64 std err, u64 n; `Done` carries u64 session, u8 stop reason
+/// session; `Progress` carries u64 session, then u64 samples, f64
+/// estimate, f64 std err; `Done` carries u64 session, u8 stop reason
 /// (0 exhausted, 1 quality, 2 time, 3 samples, 4 cancelled), then the
-/// same four estimate fields as `Progress`.
+/// same three fields as `Progress`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireEvent {
     /// The session entered the live table.

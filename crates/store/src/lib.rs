@@ -11,9 +11,6 @@
 //! * [`Document`] / [`Collection`] — schema-flexible record storage with a
 //!   **block layer**: records live in fixed-size logical blocks and every
 //!   block touch is counted ([`BlockStats`]), simulating the DFS;
-//! * [`shard`] — hash and Hilbert-range partitioning of documents across
-//!   simulated cluster nodes (the substrate under the paper's
-//!   "distributed Hilbert R-tree");
 //! * [`persist`] — JSON-lines save/load for collections;
 //! * [`runs`] — the epoch-pinned run registry under the LSM-style ingest
 //!   tier (atomic delta/run-set replacement with crash-safe publishes).
@@ -26,7 +23,6 @@ mod document;
 pub mod json;
 pub mod persist;
 pub mod runs;
-pub mod shard;
 pub mod validate;
 mod value;
 

@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 
 use crate::collection::Collection;
-use crate::shard::Partitioner;
 
 /// Checks every collection invariant:
 ///
@@ -51,26 +50,6 @@ pub fn check_collection(c: &Collection) -> Result<(), String> {
             "block doc counts sum to {total}, len() is {}",
             c.len()
         ));
-    }
-    Ok(())
-}
-
-/// Checks that a partitioner is a total function into `0..shards` over the
-/// given sample of records — a shard index out of range would silently
-/// drop records from every distributed estimate.
-pub fn check_partitioner<P: Partitioner>(
-    p: &P,
-    sample: impl IntoIterator<Item = (u64, Option<storm_geo::Point2>)>,
-) -> Result<(), String> {
-    let shards = p.shards();
-    if shards == 0 {
-        return Err("partitioner reports zero shards".into());
-    }
-    for (id, location) in sample {
-        let s = p.route(id, location);
-        if s >= shards {
-            return Err(format!("record {id} routed to shard {s} of {shards}"));
-        }
     }
     Ok(())
 }

@@ -1,11 +1,8 @@
 //! Property tests for the store validators: arbitrary insert/remove/update
-//! interleavings keep the block bookkeeping consistent, and partitioners
-//! stay total over arbitrary records.
+//! interleavings keep the block bookkeeping consistent.
 
 use proptest::prelude::*;
-use storm_geo::{Point2, Rect2};
-use storm_store::shard::{HashPartitioner, HilbertPartitioner};
-use storm_store::validate::{check_collection, check_partitioner};
+use storm_store::validate::check_collection;
 use storm_store::{Collection, Value};
 
 #[derive(Debug, Clone)]
@@ -59,23 +56,5 @@ proptest! {
             }
         }
         prop_assert_eq!(c.len(), live.len());
-    }
-
-    #[test]
-    fn partitioners_are_total(
-        records in prop::collection::vec((0u64..u64::MAX, 0.0..500.0f64, 0.0..500.0f64), 1..100),
-        shards in 1usize..12,
-    ) {
-        let hash = HashPartitioner::new(shards);
-        let sample: Vec<(u64, Option<Point2>)> = records
-            .iter()
-            .map(|&(id, x, y)| (id, Some(Point2::xy(x, y))))
-            .collect();
-        prop_assert_eq!(check_partitioner(&hash, sample.clone()), Ok(()));
-        // Points may fall outside the declared bounds; routing must still
-        // land in range (clamping, not dropping).
-        let bounds = Rect2::from_corners(Point2::xy(100.0, 100.0), Point2::xy(300.0, 300.0));
-        let hilbert = HilbertPartitioner::new(bounds, shards);
-        prop_assert_eq!(check_partitioner(&hilbert, sample), Ok(()));
     }
 }
