@@ -42,10 +42,7 @@ pub use distributed::{DistributedRsTree, DistributedSampler};
 pub use frozen::{FrozenRsTree, FrozenSampler};
 pub use ingest::{CompositeSampler, DeltaBuffer, EpochState, IngestConfig, IngestIndex};
 pub use ls_tree::{LsSampler, LsTree};
-pub use parallel::{
-    CloseError, EpochError, FillReq, OpenReq, ParallelRsCluster, ParallelSampler, SessionBatch,
-    SessionOpen, ShardReply, StreamCore,
-};
+pub use parallel::{Coordinator, EpochError, ParallelRsCluster, ParallelSampler, SessionStream};
 pub use query_first::QueryFirst;
 pub use random_path::RandomPath;
 pub use rs_tree::{RsSampler, RsTree, RsTreeConfig};

@@ -14,26 +14,6 @@ use super::sampler::ParallelSampler;
 use super::worker::run_shard;
 use crate::{FrozenRsTree, SampleMode};
 
-/// Typed error from [`ParallelRsCluster`] teardown paths: the shard's
-/// command channel was already disconnected (its worker thread is gone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CloseError {
-    /// Index of the unreachable shard.
-    pub shard: usize,
-}
-
-impl std::fmt::Display for CloseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {} worker unreachable (channel closed)",
-            self.shard
-        )
-    }
-}
-
-impl std::error::Error for CloseError {}
-
 /// Typed refusal from [`ParallelRsCluster::install_epoch`]: the offered
 /// epoch does not have exactly one shard per worker. Nothing was swapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,7 +232,8 @@ impl ParallelRsCluster {
     }
 
     /// The retry policy gathers run under, or `None` when recovery is off
-    /// (no hook, no explicit policy): one blocking attempt per gather.
+    /// (no hook, no explicit policy): one attempt per gather, bounded by
+    /// the coordinator's 5 s safety valve.
     pub(super) fn recovery(&self) -> Option<RetryPolicy> {
         (self.fault_hook.is_some() || self.retry.is_some()).then(|| self.retry.unwrap_or_default())
     }
@@ -269,10 +250,8 @@ impl ParallelRsCluster {
     }
 
     /// Sends one [`ShardCmd::OpenMany`] carrying `reqs` to `shard`, whose
-    /// [`ShardReply::Opens`] answer arrives on `reply` — the per-shard
-    /// primitive under [`ParallelRsCluster::open_many`], and what an
-    /// open-phase retry re-sends. Returns `false` (and counts a dropped
-    /// send) when the worker is gone.
+    /// [`ShardReply::Opens`] answer arrives on `reply`. Returns `false`
+    /// (and counts a dropped send) when the worker is gone.
     pub(super) fn open_shard(
         &self,
         shard: usize,
@@ -288,42 +267,24 @@ impl ParallelRsCluster {
         self.workers[shard].send(ShardCmd::OpenMany(Box::new(args)), "open-many")
     }
 
-    /// Scatters one [`ShardCmd::OpenMany`] per live shard: the whole
-    /// admission batch opens with `2 · shards` channel messages total
-    /// instead of `2 · shards` *per session*. The caller gathers one
-    /// [`ShardReply::Opens`] per reached shard (the returned count) on
-    /// `reply`; every named session must route to that one channel (the
-    /// scheduler invariant, as with [`ParallelRsCluster::fill_many`]).
-    pub fn open_many(&self, reqs: &[OpenReq], reply: &Sender<ShardReply>) -> usize {
-        let reqs: Arc<[OpenReq]> = reqs.into();
-        (0..self.workers.len())
-            .filter(|&s| self.open_shard(s, &reqs, reply))
-            .count()
-    }
-
     /// Sends one [`ShardCmd::FillMany`] to `shard`. Every named
     /// session must have been opened on this cluster with the *same* reply
     /// channel (the worker answers all of them in one
     /// [`ShardReply::Batches`] on the first named stream's channel).
     /// Returns `false` (and counts a dropped send) when the worker is gone.
-    pub fn fill_many(&self, shard: usize, reqs: Vec<FillReq>) -> bool {
+    pub(super) fn fill_many(&self, shard: usize, reqs: Vec<FillReq>) -> bool {
         self.workers[shard].send(ShardCmd::FillMany(reqs), "fill-many")
     }
 
     /// Tears down every named session's stream on every shard with one
-    /// [`ShardCmd::CloseMany`] per shard (no replies) — the teardown
-    /// analogue of [`ParallelRsCluster::open_many`]. Returns the first
-    /// unreachable shard as an error, after still notifying the rest.
-    pub fn close_many(&self, sessions: &[u64]) -> Result<(), CloseError> {
+    /// [`ShardCmd::CloseMany`] per shard (no replies); an unreachable
+    /// worker is counted in [`ParallelRsCluster::dropped_sends`].
+    pub(super) fn close_many(&self, sessions: &[u64]) {
         let sessions: Arc<[u64]> = sessions.into();
-        let mut err = None;
         for w in &self.workers {
             // storm-analyzer: allow(A5): one CloseMany control message per shard carries every finished session since the last flush
-            if !w.send(ShardCmd::CloseMany(Arc::clone(&sessions)), "close-many") {
-                err.get_or_insert(CloseError { shard: w.shard });
-            }
+            w.send(ShardCmd::CloseMany(Arc::clone(&sessions)), "close-many");
         }
-        err.map_or(Ok(()), Err)
     }
 
     /// Opens a parallel scatter-gather stream for `query`.
@@ -333,7 +294,7 @@ impl ParallelRsCluster {
     /// determines the emitted sequence (neither thread scheduling nor
     /// concurrently open co-tenant streams can affect it). Takes `&self`:
     /// per-query state lives entirely in the returned sampler, whose
-    /// replies travel over channels private to this stream.
+    /// replies travel over its own coordinator's channel.
     pub fn sampler(&self, query: Rect2, mode: SampleMode, seed: u64) -> ParallelSampler<'_> {
         ParallelSampler::open(self, query, mode, seed)
     }

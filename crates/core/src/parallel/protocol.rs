@@ -24,66 +24,64 @@ pub(super) struct OpenManyArgs {
     /// Whether the coordinator may retry fills: enables the worker-side
     /// batch replay cache (skipped entirely on the fast path).
     pub(super) recover: bool,
-    /// The one channel every stream in the batch replies on. A coordinator
-    /// that wants private replies hands each shard its own channel
-    /// (`ParallelSampler`); the multi-session scheduler passes one shared
-    /// channel for all its sessions and routes by the echoed tags.
+    /// The one channel every stream in the batch replies on: the opening
+    /// coordinator's, which routes by the echoed tags.
     pub(super) reply: Sender<ShardReply>,
 }
 
 /// One session's slice of a coalesced [`ShardCmd::FillMany`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FillReq {
+pub(super) struct FillReq {
     /// The stream to draw from.
-    pub session: u64,
+    pub(super) session: u64,
     /// Samples owed to this session this round.
-    pub n: usize,
+    pub(super) n: usize,
     /// The session's scatter-round number (its retry/replay key).
-    pub seq: u64,
+    pub(super) seq: u64,
 }
 
 /// One session's slice of a coalesced [`ShardCmd::OpenMany`].
 #[derive(Debug, Clone, Copy)]
-pub struct OpenReq {
+pub(super) struct OpenReq {
     /// Coordinator-assigned stream identity.
-    pub session: u64,
+    pub(super) session: u64,
     /// The range query.
-    pub query: Rect2,
+    pub(super) query: Rect2,
     /// With or without replacement.
-    pub mode: SampleMode,
+    pub(super) mode: SampleMode,
     /// The *session* seed; every shard worker derives its own stream
     /// seed from it, so a session's stream never depends on which batch
     /// its open rode in.
-    pub seed: u64,
+    pub(super) seed: u64,
 }
 
 /// One session's slice of a coalesced [`ShardReply::Opens`].
 #[derive(Debug, Clone, Copy)]
-pub struct SessionOpen {
+pub(super) struct SessionOpen {
     /// The opened stream.
-    pub session: u64,
+    pub(super) session: u64,
     /// The shard's exact `|P_s ∩ Q|`, or `None` when the open panicked
     /// and the stream is stillborn.
-    pub count: Option<usize>,
+    pub(super) count: Option<usize>,
 }
 
 /// One session's slice of a coalesced [`ShardReply::Batches`].
 #[derive(Debug, Clone)]
-pub struct SessionBatch {
+pub(super) struct SessionBatch {
     /// The stream the batch belongs to.
-    pub session: u64,
+    pub(super) session: u64,
     /// Echo of the fill's scatter-round number.
-    pub seq: u64,
+    pub(super) seq: u64,
     /// The drawn (or replayed) samples — possibly short when the shard's
     /// stream ended — or `None` when the stream died to a contained
     /// panic: the shard's snapshot survives for other streams, but this
     /// one is over and the coordinator writes the shard off.
-    pub items: Option<Vec<Item<2>>>,
+    pub(super) items: Option<Vec<Item<2>>>,
 }
 
 /// Coordinator → shard-worker messages. One command set serves every
-/// coordinator: the single-query [`ParallelSampler`] sends batches of one,
-/// the multi-session scheduler sends a tick's worth.
+/// session batch: a [`super::ParallelSampler`]'s coordinator sends
+/// batches of one, the multi-session scheduler's a tick's worth.
 pub(super) enum ShardCmd {
     /// Open every named session's stream on this shard, answered by one
     /// [`ShardReply::Opens`] carrying every count. Re-opening a session
@@ -109,19 +107,15 @@ pub(super) enum ShardCmd {
     Shutdown,
 }
 
-/// Shard-worker → coordinator messages, one per request kind. Public so
-/// the `storm-server` scheduler can drive the session protocol directly
-/// over [`super::ParallelRsCluster::open_many`] /
-/// [`super::ParallelRsCluster::fill_many`]; single-query users never see
-/// these (use [`super::ParallelRsCluster::sampler`]).
+/// Shard-worker → coordinator messages, one per request kind, gathered
+/// by the [`super::Coordinator`] alone.
 #[derive(Debug)]
-pub enum ShardReply {
+pub(super) enum ShardReply {
     /// The answer to one [`ShardCmd::FillMany`]: one entry per served
     /// session (per-session aborts ride along as `items: None`; a session
     /// whose reply was dropped by fault injection is simply absent).
     Batches {
-        /// The replying shard (coordinators with a shared reply channel
-        /// route by this).
+        /// The replying shard (the coordinator routes by this).
         shard: usize,
         /// One slice per session named in the request.
         replies: Vec<SessionBatch>,

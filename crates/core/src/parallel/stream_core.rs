@@ -23,9 +23,10 @@ const PREFETCH_MAX: usize = 1024;
 /// draw, prefetch request sizing, buffered-batch bookkeeping, drawn-order
 /// merge, and degraded-mode write-off for **one** scatter-gather stream.
 ///
-/// [`super::ParallelSampler`] drives one core with blocking per-shard channels;
-/// the `storm-server` scheduler drives many cores over one shared reply
-/// channel, coalescing their per-shard requests. Keeping the
+/// Every session's core lives in a [`super::SessionStream`] that the one
+/// [`super::Coordinator`] drives, whether the caller is a
+/// [`super::ParallelSampler`] (one session) or the `storm-server`
+/// scheduler (a tick's worth, requests coalesced per shard). Keeping the
 /// round-planning arithmetic here — and nowhere else — is what pins the
 /// multi-tenant determinism contract: every quantity a worker's batched
 /// kernel can observe (which shard is asked, for how much, in which
@@ -41,7 +42,7 @@ const PREFETCH_MAX: usize = 1024;
 /// [`StreamCore::deliver`]/[`StreamCore::fail`] per contacted shard →
 /// [`StreamCore::merge_into`].
 #[derive(Debug)]
-pub struct StreamCore {
+pub(super) struct StreamCore {
     mode: SampleMode,
     /// Initial per-shard result counts.
     weights: Vec<u64>,
@@ -128,24 +129,9 @@ impl StreamCore {
         self.mode
     }
 
-    /// Number of shards this stream spans.
-    pub fn shards(&self) -> usize {
-        self.need.len()
-    }
-
     /// The exact result count gathered at open (`|P ∩ Q|`).
     pub fn result_count(&self) -> usize {
         self.total
-    }
-
-    /// Mass still drawable: WOR's unemitted count, or the live weight sum
-    /// with replacement. Zero means [`StreamCore::draw`] will never again
-    /// produce a round.
-    pub fn live_mass(&self) -> u64 {
-        match self.mode {
-            SampleMode::WithoutReplacement => self.total_remaining,
-            SampleMode::WithReplacement => self.weights.iter().sum(),
-        }
     }
 
     /// This round's owed count for shard `s` (valid between

@@ -4,6 +4,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crossbeam::channel::unbounded;
 use rand::rngs::StdRng;
@@ -12,7 +13,8 @@ use storm_faultkit::{FailReason, FaultHook, FaultKind, FaultPlan, FaultSite, Ret
 use storm_geo::{Point2, Rect2};
 use storm_rtree::Item;
 
-use super::protocol::{OpenManyArgs, ShardCmd};
+use super::coordinator::Answer;
+use super::protocol::{FillReq, OpenManyArgs, OpenReq, ShardCmd, ShardReply};
 use super::worker::{serve_fill_many, serve_open_many};
 use super::*;
 use crate::rs_tree::RsTree;
@@ -351,7 +353,7 @@ fn close_on_live_worker_succeeds_and_counts_nothing() {
     let c = cluster(400, 2);
     // Closing a session no worker has heard of is a no-op the channel
     // still carries: live workers, nothing counted.
-    assert_eq!(c.close_many(&[12345]), Ok(()));
+    c.close_many(&[12345]);
     assert_eq!(c.dropped_sends(), 0);
 }
 
@@ -419,10 +421,11 @@ fn a_reply_to_a_dropped_receiver_forgets_the_stream() {
         seq,
     };
     assert_eq!(serve_open_many(&frozen, 0, 0, open(7), &mut streams), 1);
-    assert!(matches!(rx.recv(), Ok(ShardReply::Opens { .. })));
+    // Serving is synchronous: the reply is already queued.
+    assert!(matches!(rx.try_recv(), Ok(ShardReply::Opens { .. })));
     // A live coordinator keeps its stream across fills.
     serve_fill_many(0, &[fill(0)], &mut streams);
-    assert!(matches!(rx.recv(), Ok(ShardReply::Batches { .. })));
+    assert!(matches!(rx.try_recv(), Ok(ShardReply::Batches { .. })));
     assert!(streams.contains_key(&7));
     drop(rx);
     serve_fill_many(0, &[fill(1)], &mut streams);
@@ -454,11 +457,191 @@ fn dropped_send_counter_is_exact_under_contention() {
     let threads = 8;
     let iters = 250;
     storm_testkit::stress_concurrent(threads, iters, |_, _| {
-        let _ = c.close_many(&[7]);
+        c.close_many(&[7]);
     });
     // Every close_many on a dead 2-shard cluster counts exactly 2.
     assert_eq!(
         c.dropped_sends() - before,
         (threads * iters * c.num_shards()) as u64
     );
+}
+
+/// A scripted fill-site hook: every stream's first fill on shard 1 loses
+/// its reply, on shard 2 it is held past the gather timeout. Records the
+/// highest fill op each shard saw, so a test can prove re-sends happened.
+#[derive(Debug, Default)]
+struct DropThenDelay {
+    max_op: [std::sync::atomic::AtomicU64; 4],
+}
+
+impl FaultHook for DropThenDelay {
+    fn fault(&self, site: FaultSite, shard: usize, op: u64) -> Option<FaultKind> {
+        if site != FaultSite::Fill {
+            return None;
+        }
+        self.max_op[shard].fetch_max(op, std::sync::atomic::Ordering::Relaxed);
+        match (shard, op) {
+            (1, 0) => Some(FaultKind::DropReply),
+            (2, 0) => Some(FaultKind::DelayReplyMs(80)),
+            _ => None,
+        }
+    }
+}
+
+#[test]
+fn one_gather_routes_two_sessions_by_tag() {
+    storm_testkit::watchdog(Duration::from_secs(60), "one gather, two sessions", || {
+        // Two sessions drained in lockstep on one coordinator, plus a third
+        // closed mid-round. Shard 1's lost replies force same-seq re-sends
+        // whose replays must land exactly once; shard 2's held replies come
+        // back *and* are replayed, so duplicates reach the gather — as do
+        // replies for the closed session. Any double delivery would repeat
+        // an id; any misrouted one would break a drain's exactness.
+        let hook = Arc::new(DropThenDelay::default());
+        let mut c = cluster(1_200, 4);
+        c.set_fault_hook(Arc::clone(&hook) as Arc<dyn FaultHook>);
+        c.set_retry_policy(RetryPolicy {
+            max_retries: 4,
+            timeout_ms: 40,
+            backoff: 2,
+        });
+        let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(59.0, 9.0));
+        let expected: HashSet<u64> = grid_items(1_200)
+            .iter()
+            .filter(|it| q.contains_point(&it.point))
+            .map(|it| it.id)
+            .collect();
+        let mut coord = Coordinator::new(&c);
+        let ids: Vec<u64> = (0..3).map(|_| c.allocate_session()).collect();
+        let mut streams = coord.open_sessions(
+            ids.iter()
+                .map(|&id| (id, q, SampleMode::WithoutReplacement, id)),
+        );
+        let mut closed = streams.pop().expect("three streams opened");
+        let mut rngs = [StdRng::seed_from_u64(1), StdRng::seed_from_u64(2)];
+        let mut got = [HashSet::new(), HashSet::new()];
+        let mut buf = Vec::new();
+        let mut first = true;
+        loop {
+            let mut pending = [false; 2];
+            let mut drawn = 0;
+            for (i, s) in streams.iter_mut().enumerate() {
+                let d = s.draw(&mut rngs[i], 32);
+                drawn += d;
+                pending[i] = d > 0 && coord.queue_fill(s) > 0;
+            }
+            if first {
+                closed.draw(&mut StdRng::seed_from_u64(3), 32);
+                assert!(coord.queue_fill(&mut closed) > 0);
+            }
+            if drawn == 0 {
+                break;
+            }
+            coord.fill_round();
+            if first {
+                // Closed after its round settled but before it was applied:
+                // the settled batches are forgotten, and the replays still in
+                // flight for it must be dropped by later gathers.
+                coord.close_sessions(&[closed.session]);
+                first = false;
+            }
+            for (i, s) in streams.iter_mut().enumerate() {
+                if pending[i] {
+                    coord.apply_round(s);
+                }
+                buf.clear();
+                s.merge_into(&mut buf);
+                for item in &buf {
+                    assert!(got[i].insert(item.id), "session {i}: duplicate {}", item.id);
+                }
+            }
+        }
+        for (i, s) in streams.iter().enumerate() {
+            assert_eq!(got[i], expected, "session {i} drain");
+            assert_eq!(s.degraded(), None, "session {i}");
+        }
+        // Both faults really forced re-sends (a clean first fill covers each
+        // shard's whole share, so any later op on shards 1-2 is a re-send).
+        for shard in [1, 2] {
+            let ops = hook.max_op[shard].load(std::sync::atomic::Ordering::Relaxed);
+            assert!(ops >= 1, "shard {shard} saw no re-send");
+        }
+        assert!(coord.expect.is_empty() && coord.waiting == 0);
+    });
+}
+
+#[test]
+fn round_write_offs_apply_in_ascending_shard_order() {
+    storm_testkit::watchdog(Duration::from_secs(60), "ascending write-offs", || {
+        // Shard 2's fill aborts at once while shard 1's reply is held past
+        // the only attempt: the abort *arrives* first, but the write-offs
+        // are applied in shard order once the round settles.
+        #[derive(Debug)]
+        struct AbortTwoHoldOne;
+        impl FaultHook for AbortTwoHoldOne {
+            fn fault(&self, site: FaultSite, shard: usize, op: u64) -> Option<FaultKind> {
+                match (site, shard, op) {
+                    (FaultSite::Fill, 2, _) => Some(FaultKind::WorkerPanic),
+                    (FaultSite::Fill, 1, 0) => Some(FaultKind::DelayReplyMs(150)),
+                    _ => None,
+                }
+            }
+        }
+        let mut c = cluster(1_200, 4);
+        c.set_fault_hook(Arc::new(AbortTwoHoldOne));
+        c.set_retry_policy(RetryPolicy {
+            max_retries: 0,
+            timeout_ms: 40,
+            backoff: 2,
+        });
+        let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(59.0, 9.0));
+        let mut s = c.sampler(q, SampleMode::WithoutReplacement, 5);
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut got = HashSet::new();
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            if s.next_batch(&mut rng, &mut buf, 32) == 0 {
+                break;
+            }
+            for item in &buf {
+                assert!(got.insert(item.id), "duplicate: {}", item.id);
+            }
+        }
+        let d = s.degraded().unwrap_or_default();
+        assert_eq!(d.dead_shards(), vec![1, 2]);
+        let reasons: Vec<FailReason> = d.failures.iter().map(|f| f.reason).collect();
+        assert_eq!(reasons, vec![FailReason::Timeout, FailReason::Aborted]);
+        assert_eq!(got.len() as u64 + d.lost_mass(), 600);
+    });
+}
+
+#[test]
+fn recovery_off_never_resends() {
+    // With no hook and no retry policy a gather has one attempt: a fill
+    // that is never answered is written off at the safety valve, sent
+    // exactly once, and its shard is condemned.
+    storm_testkit::watchdog(Duration::from_secs(60), "recovery off", || {
+        let c = cluster(400, 2);
+        let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(99.0, 3.0));
+        let mut coord = Coordinator::new(&c);
+        let id = c.allocate_session();
+        let mut streams = coord.open_sessions([(id, q, SampleMode::WithoutReplacement, 1)]);
+        let s = &mut streams[0];
+        // The workers forget the stream behind the coordinator's back, so
+        // they drop its fills unanswered.
+        c.close_many(&[id]);
+        s.draw(&mut StdRng::seed_from_u64(2), 16);
+        assert!(coord.queue_fill(s) > 0);
+        coord.fill_round();
+        for shard in (0..2).filter(|&k| s.plan[k] > 0) {
+            let e = &coord.expect[&(id, shard)];
+            assert_eq!(e.sends, 1, "shard {shard} was re-sent");
+            assert!(matches!(
+                e.answer,
+                Some(Answer::Failed(FailReason::Timeout))
+            ));
+            assert!(coord.dead[shard]);
+        }
+    });
 }

@@ -22,12 +22,13 @@
 //! ```
 //!
 //! The scheduler (see [`mod@scheduler`] docs for the coalescing math and
-//! the fairness invariant) drives the session-tagged shard protocol from
-//! `storm_core::parallel` directly: every session's round state lives in a
-//! [`storm_core::StreamCore`], pending fills from *all* runnable sessions
-//! are coalesced into one [`storm_core::FillReq`] batch per shard per
-//! tick, and deficit-round-robin credit keeps a huge scan from starving
-//! small queries.
+//! the fairness invariant) keeps only scheduling. Every worker exchange
+//! goes through one [`storm_core::Coordinator`]: each session's round
+//! state lives in a [`storm_core::SessionStream`], the coordinator
+//! coalesces pending fills from *all* runnable sessions into one
+//! `FillMany` per shard per tick and applies the cluster's fault policy,
+//! and deficit-round-robin credit keeps a huge scan from starving small
+//! queries.
 //!
 //! ## Determinism contract
 //!
@@ -35,7 +36,7 @@
 //! [`QuerySpec::seed`], never on co-tenant interleaving: the scheduler may
 //! *delay* a session's rounds, but round sizes, shard-stream seeds, and
 //! merge order are all pure functions of session-local state (the
-//! invariant `storm_core::StreamCore` documents, pinned here by the
+//! invariant the `storm_core::parallel` docs state, pinned here by the
 //! solo-vs-co-tenant tests in `tests/serve.rs`).
 //!
 //! The wire layer ([`mod@wire`]) exposes open/poll/terminate as

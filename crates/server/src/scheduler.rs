@@ -8,20 +8,20 @@
 //!    applied at tick boundaries only, when no fills are in flight, so a
 //!    cancellation can always reclaim its in-flight credit in O(live
 //!    sessions) bookkeeping (no protocol drain race). Admissions are
-//!    *coalesced* like fills: every open drained this boundary rides in
-//!    one `OpenMany` per shard and the per-shard count replies come back
-//!    as one `Opens` each, gathered together in [`Sched::settle_opens`] —
-//!    a burst of `S` opens costs `2 · shards` channel messages and one
-//!    gather wait, not `2 · shards · S` messages and `S` round-trips.
+//!    *coalesced* like fills: every open drained this boundary is one
+//!    [`Coordinator::open_sessions`] batch — one `OpenMany` per shard, one
+//!    gather wait — so a burst of `S` opens costs `2 · shards` channel
+//!    messages, not `2 · shards · S` messages and `S` round-trips.
 //!    Teardown coalesces symmetrically: sessions finished during a tick
-//!    are closed with one `CloseMany` per shard at the tick's end.
+//!    are closed in one [`Coordinator::close_sessions`] batch at the
+//!    tick's end.
 //! 2. **Credit grant** — every live session's deficit counter gains
 //!    [`ServeConfig::quantum`] samples (deficit round robin; the carryover
 //!    is capped at `quantum + block` so an idle session cannot hoard).
 //! 3. **Round fixpoint** — sessions with at least [`ServeConfig::block`]
-//!    credit run rounds of their [`StreamCore`] state machine: draw →
-//!    plan → coalesce → gather → merge, repeating until every session is
-//!    out of credit or finished.
+//!    credit run rounds of their [`SessionStream`]: draw → queue → one
+//!    [`Coordinator::fill_round`] for all of them → apply → merge,
+//!    repeating until every session is out of credit or finished.
 //! 4. **Progress emission** — one [`SessionEvent::Progress`] per session
 //!    that merged samples this tick.
 //!
@@ -30,14 +30,14 @@
 //! A naive serving loop pays ~2 channel messages per session per round (a
 //! `FillMany` of one, a `Batches` of one), so `S` sessions cost
 //! `O(S · rounds)` messages and as many scheduler/worker context switches.
-//! The tick
-//! scheduler instead merges every runnable session's round-`r` request for
-//! shard `s` into **one** `FillMany` batch, answered by one `Batches`
-//! reply: per tick the channel cost is `O(shards)`, not
-//! `O(sessions · shards)`. With `StreamCore`'s request amplification
-//! (surplus banked per session, most rounds served bufferside with zero
-//! I/O) the amortized message cost per session round drops well below
-//! one, which is where the E15 throughput multiple comes from.
+//! The tick scheduler instead queues every runnable session's round on
+//! the one coordinator, which merges the round's requests for shard `s`
+//! into **one** `FillMany` batch, answered by one `Batches` reply: per
+//! tick the channel cost is `O(shards)`, not `O(sessions · shards)`. With
+//! each stream's request amplification (surplus banked per session, most
+//! rounds served bufferside with zero I/O) the amortized message cost per
+//! session round drops well below one, which is where the E15 throughput
+//! multiple comes from.
 //!
 //! ## Fairness invariant
 //!
@@ -47,19 +47,22 @@
 //! query size**: a 10⁸-row scan and a 10³-row lookup get the same sample
 //! bandwidth share. Credit gates *when* a round runs, never its *size* —
 //! sizes are pure functions of session-local state, which is the
-//! determinism contract (`StreamCore` docs) pinned by the
+//! determinism contract (`storm_core::parallel` docs) pinned by the
 //! solo-vs-co-tenant tests.
 //!
 //! ## Fault policy
 //!
-//! The scheduler is deliberately fail-soft (no retry machinery in the
-//! tick loop, unlike the single-query [`storm_core::ParallelSampler`]
-//! path): an unreachable worker or a gather timeout writes the shard off
-//! for the affected sessions (missing-mass widening takes over) and the
-//! tick proceeds. Chaos testing of retry/replay stays on the single-query
-//! executor path.
+//! The scheduler owns no protocol: every worker exchange goes through the
+//! one [`Coordinator`], so served sessions follow the cluster's fault
+//! policy exactly as a [`storm_core::ParallelSampler`] does. With recovery
+//! off a tick's gather makes one attempt bounded by a safety valve; with a
+//! fault hook or retry policy installed, a dropped or late reply is
+//! re-sent with the same `seq` (the worker replays its cache) and a
+//! stillborn open is re-opened. A shard is written off for a session on
+//! abort, disconnect or exhausted attempts (missing-mass widening takes
+//! over) and the tick proceeds.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -68,17 +71,12 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use storm_core::{
-    EpochError, FillReq, FrozenRsTree, OpenReq, ParallelRsCluster, SampleMode, SamplerKind,
-    ShardReply, StreamCore,
+    Coordinator, EpochError, FrozenRsTree, ParallelRsCluster, SampleMode, SamplerKind,
+    SessionStream,
 };
 use storm_engine::session::{Progress, QueryOutcome, StopCheck, StopReason, TaskResult};
 use storm_estimators::OnlineStat;
-use storm_faultkit::FailReason;
 use storm_geo::Rect2;
-
-/// Safety valve on the gather loop: a shard that answers nothing for this
-/// long is written off for every session waiting on it.
-const GATHER_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Scheduler sizing and policy knobs.
 #[derive(Debug, Clone, Copy)]
@@ -236,7 +234,7 @@ impl SessionServer {
         let sched_cluster = Arc::clone(&cluster);
         let thread = std::thread::Builder::new()
             .name("storm-scheduler".into())
-            .spawn(move || Sched::new(sched_cluster, cfg, ctrl_rx).run())
+            .spawn(move || Sched::new(&sched_cluster, cfg, ctrl_rx).run())
             .expect("spawn scheduler thread");
         SessionServer {
             cluster: Some(cluster),
@@ -336,7 +334,6 @@ impl SessionHandle {
 
     /// Blocks for the next event; `None` means the server is gone.
     pub fn recv_event(&self) -> Option<SessionEvent> {
-        // storm-analyzer: allow(A13): documented blocking client API; recv_event_timeout below is the bounded form, and server drop disconnects this recv
         self.events.recv().ok()
     }
 
@@ -372,104 +369,63 @@ impl SessionHandle {
 struct Session {
     events: Sender<SessionEvent>,
     rng: StdRng,
-    core: StreamCore,
+    stream: SessionStream,
     stat: OnlineStat,
     started: Instant,
-    sample_budget: Option<u64>,
-    time_budget: Option<Duration>,
-    target_error: Option<f64>,
+    /// The submitted query: its budgets are the stop checks.
+    spec: QuerySpec,
     /// Samples merged so far.
     samples: u64,
-    /// Scatter-round number (the fill replay key; unused for replay here
-    /// — the fail-soft scheduler never retries — but still unique per
-    /// round as the protocol requires).
-    seq: u64,
     /// DRR credit, in samples.
     deficit: usize,
-    /// Shard replies still outstanding for the current round.
-    awaiting: usize,
-    /// A drawn round is pending merge.
+    /// A drawn round awaits the tick's fill round.
     round_open: bool,
     /// Merged at least one sample this tick (Progress is owed).
     progressed: bool,
-    /// Coalesced fill messages this session has ridden in (io accounting).
+    /// Shard requests this session's rounds have made (io accounting).
     fills_sent: u64,
 }
 
-/// A pending admission, queued between its control drain and the
-/// boundary's [`Sched::settle_opens`], which scatters the whole batch as
-/// one `OpenMany` per shard and gathers every count in one shared wait.
-struct Opening {
-    spec: QuerySpec,
-    events: Sender<SessionEvent>,
-    counts: Vec<Option<u64>>,
-    failures: Vec<(usize, FailReason)>,
-}
-
 /// The scheduler thread state.
-struct Sched {
-    cluster: Arc<ParallelRsCluster>,
+struct Sched<'a> {
+    /// Every worker exchange: opens, fill rounds, closes.
+    coord: Coordinator<'a>,
     cfg: ServeConfig,
     ctrl: Receiver<Ctrl>,
-    /// The one shared reply channel every session is opened with; workers
-    /// echo `(shard, session, seq)` tags and the scheduler routes here.
-    reply_tx: Sender<ShardReply>,
-    reply_rx: Receiver<ShardReply>,
     table: HashMap<u64, Session>,
     /// Round-robin order over live sessions.
     run_queue: VecDeque<u64>,
     wait_queue: VecDeque<(u64, QuerySpec, Sender<SessionEvent>)>,
-    /// Open gathers in progress: scattered but not yet settled.
-    opening: HashMap<u64, Opening>,
-    /// Admission order of `opening` entries (run-queue insertion order).
-    opening_order: Vec<u64>,
-    /// Coalesced `Opens` shard replies the current settle still owes.
-    open_left: usize,
-    /// Sessions finished since the last `CloseMany` flush.
+    /// Admissions drained this boundary, in admission order, awaiting the
+    /// boundary's coalesced open ([`Sched::open_admitted`]).
+    opening: Vec<(u64, QuerySpec, Sender<SessionEvent>)>,
+    /// Sessions finished since the last close flush.
     pending_close: Vec<u64>,
-    /// `(session, shard)` fill replies the current tick still owes.
-    expected: HashSet<(u64, usize)>,
-    /// Shards whose workers died; never asked again.
-    dead: Vec<bool>,
     admitted: u64,
     rejected: u64,
     done: u64,
     // Reused scratch (the tick loop must not allocate per session; see
     // storm-analyzer A9).
     ids: Vec<u64>,
-    plan: Vec<usize>,
-    shard_reqs: Vec<Vec<FillReq>>,
     merged: Vec<storm_rtree::Item<2>>,
-    timed_out: Vec<(u64, usize)>,
 }
 
-impl Sched {
-    fn new(cluster: Arc<ParallelRsCluster>, cfg: ServeConfig, ctrl: Receiver<Ctrl>) -> Self {
-        let shards = cluster.num_shards();
-        let (reply_tx, reply_rx) = unbounded();
+impl<'a> Sched<'a> {
+    fn new(cluster: &'a ParallelRsCluster, cfg: ServeConfig, ctrl: Receiver<Ctrl>) -> Self {
         Sched {
-            cluster,
+            coord: Coordinator::new(cluster),
             cfg,
             ctrl,
-            reply_tx,
-            reply_rx,
             table: HashMap::new(),
             run_queue: VecDeque::new(),
             wait_queue: VecDeque::new(),
-            opening: HashMap::new(),
-            opening_order: Vec::new(),
-            open_left: 0,
+            opening: Vec::new(),
             pending_close: Vec::new(),
-            expected: HashSet::new(),
-            dead: vec![false; shards],
             admitted: 0,
             rejected: 0,
             done: 0,
             ids: Vec::new(),
-            plan: Vec::new(),
-            shard_reqs: vec![Vec::new(); shards],
             merged: Vec::new(),
-            timed_out: Vec::new(),
         }
     }
 
@@ -499,17 +455,13 @@ impl Sched {
                     Err(TryRecvError::Disconnected) => break 'serve,
                 }
             }
-            // Late replies from cancelled rounds: drain and drop.
-            while let Ok(r) = self.reply_rx.try_recv() {
-                self.dispatch(r);
-            }
             while self.table.len() + self.opening.len() < self.cfg.max_sessions {
                 match self.wait_queue.pop_front() {
                     Some((id, spec, events)) => self.begin_admit(id, spec, events),
                     None => break,
                 }
             }
-            self.settle_opens();
+            self.open_admitted();
             if !self.table.is_empty() {
                 self.tick();
             }
@@ -520,13 +472,10 @@ impl Sched {
         self.flush_closes();
     }
 
-    /// Tears down every session finished since the last flush with one
-    /// coalesced `CloseMany` per shard.
+    /// Tears down every session finished since the last flush in one
+    /// coalesced close.
     fn flush_closes(&mut self) {
-        if self.pending_close.is_empty() {
-            return;
-        }
-        let _ = self.cluster.close_many(&self.pending_close);
+        self.coord.close_sessions(&self.pending_close);
         self.pending_close.clear();
     }
 
@@ -555,8 +504,8 @@ impl Sched {
                 // snapshots, every open after this sees the new epoch.
                 // Sessions admitted earlier in this same drain open first,
                 // so "admitted before the install" means "old epoch".
-                self.settle_opens();
-                let _ = reply.send(self.cluster.install_epoch(shards));
+                self.open_admitted();
+                let _ = reply.send(self.coord.cluster().install_epoch(shards));
             }
             Ctrl::Stats { reply } => {
                 let _ = reply.send(ServerStats {
@@ -572,110 +521,54 @@ impl Sched {
         true
     }
 
-    /// Queues `session` for the boundary's coalesced open. The whole
-    /// admission batch is scattered as one `OpenMany` per shard and its
-    /// counts gathered in one shared wait in [`Sched::settle_opens`] — a
-    /// burst of opens costs O(shards) messages, not O(shards · opens).
+    /// Queues `session` for the boundary's coalesced open
+    /// ([`Sched::open_admitted`]): a burst of opens costs O(shards)
+    /// messages, not O(shards · opens).
     fn begin_admit(&mut self, session: u64, spec: QuerySpec, events: Sender<SessionEvent>) {
         if events.send(SessionEvent::Admitted { session }).is_err() {
             // Client already gone; don't burn worker credit on it.
             return;
         }
-        let shards = self.cluster.num_shards();
-        self.opening.insert(
-            session,
-            Opening {
-                spec,
-                events,
-                counts: vec![None; shards],
-                failures: Vec::new(),
-            },
-        );
-        self.opening_order.push(session);
+        self.opening.push((session, spec, events));
         self.admitted += 1;
     }
 
-    /// Scatters the pending admission batch (one `OpenMany` per shard),
-    /// gathers the per-shard `Opens` count replies in one shared wait,
-    /// then moves the settled sessions into the live table in admission
-    /// order. Shards that never answered are written off as
-    /// [`FailReason::OpenFailed`] (weight 0, missing-mass widening takes
-    /// over).
-    fn settle_opens(&mut self) {
+    /// Opens the boundary's admission batch in one coordinator call and
+    /// moves the sessions into the live table in admission order.
+    fn open_admitted(&mut self) {
         if self.opening.is_empty() {
             return;
         }
-        let reqs: Vec<OpenReq> = self
-            .opening_order
+        let batch = self
+            .opening
             .iter()
-            .map(|&session| {
-                let spec = &self.opening[&session].spec;
-                OpenReq {
-                    session,
-                    query: spec.query,
-                    mode: spec.mode,
-                    seed: spec.seed,
+            .map(|(id, spec, _)| (*id, spec.query, spec.mode, spec.seed));
+        let streams = self.coord.open_sessions(batch);
+        for ((session, spec, events), stream) in self.opening.drain(..).zip(streams) {
+            let stat = match spec.mode {
+                SampleMode::WithoutReplacement => {
+                    OnlineStat::without_replacement(stream.result_count())
                 }
-            })
-            .collect();
-        self.open_left = self.cluster.open_many(&reqs, &self.reply_tx);
-        while self.open_left > 0 {
-            match self.reply_rx.recv_timeout(GATHER_TIMEOUT) {
-                Ok(r) => self.dispatch(r),
-                Err(_) => break,
-            }
+                SampleMode::WithReplacement => OnlineStat::new(),
+            };
+            self.table.insert(
+                session,
+                Session {
+                    events,
+                    rng: StdRng::seed_from_u64(spec.seed),
+                    stream,
+                    stat,
+                    started: Instant::now(),
+                    spec,
+                    samples: 0,
+                    deficit: 0,
+                    round_open: false,
+                    progressed: false,
+                    fills_sent: 0,
+                },
+            );
+            self.run_queue.push_back(session);
         }
-        self.open_left = 0;
-        self.ids.clear();
-        self.ids.append(&mut self.opening_order);
-        for i in 0..self.ids.len() {
-            let id = self.ids[i];
-            if let Some(op) = self.opening.remove(&id) {
-                self.finalize_open(id, op);
-            }
-        }
-    }
-
-    /// Builds the live [`Session`] from a settled opening.
-    fn finalize_open(&mut self, session: u64, op: Opening) {
-        let mut weights = Vec::with_capacity(op.counts.len());
-        let mut failures = op.failures;
-        for (s, c) in op.counts.iter().enumerate() {
-            match c {
-                Some(n) => weights.push(*n),
-                None => {
-                    weights.push(0);
-                    failures.push((s, FailReason::OpenFailed));
-                }
-            }
-        }
-        let spec = op.spec;
-        let core = StreamCore::new(spec.mode, weights, failures);
-        let stat = match spec.mode {
-            SampleMode::WithoutReplacement => OnlineStat::without_replacement(core.result_count()),
-            SampleMode::WithReplacement => OnlineStat::new(),
-        };
-        self.table.insert(
-            session,
-            Session {
-                events: op.events,
-                rng: StdRng::seed_from_u64(spec.seed),
-                core,
-                stat,
-                started: Instant::now(),
-                sample_budget: spec.sample_budget,
-                time_budget: spec.time_budget_ms.map(Duration::from_millis),
-                target_error: spec.target_error,
-                samples: 0,
-                seq: 0,
-                deficit: 0,
-                awaiting: 0,
-                round_open: false,
-                progressed: false,
-                fills_sent: 0,
-            },
-        );
-        self.run_queue.push_back(session);
     }
 
     /// Cancels a session wherever it currently is (wait queue, opening, or
@@ -684,12 +577,12 @@ impl Sched {
         if let Some(pos) = self.wait_queue.iter().position(|(id, _, _)| *id == session) {
             let (_, _, events) = self.wait_queue.remove(pos).expect("position just found");
             self.cancel_unstarted(session, &events);
-        } else if let Some(op) = self.opening.remove(&session) {
+        } else if let Some(pos) = self.opening.iter().position(|(id, _, _)| *id == session) {
             // Cancelled in the same control drain that admitted it: the
-            // batch has not scattered yet (settle runs after the drain),
+            // batch has not scattered yet (the open runs after the drain),
             // so no worker stream exists to release.
-            self.opening_order.retain(|&id| id != session);
-            self.cancel_unstarted(session, &op.events);
+            let (_, _, events) = self.opening.remove(pos);
+            self.cancel_unstarted(session, &events);
         } else if self.table.contains_key(&session) {
             self.finish(session, StopReason::Cancelled);
         }
@@ -735,14 +628,9 @@ impl Sched {
         for sess in self.table.values_mut() {
             sess.deficit = (sess.deficit + quantum).min(cap);
         }
-        loop {
-            let started = self.start_rounds();
-            self.flush_fills();
-            self.gather();
-            let completed = self.complete_rounds();
-            if started == 0 && completed == 0 {
-                break;
-            }
+        while self.start_rounds() > 0 {
+            self.coord.fill_round();
+            self.complete_rounds();
         }
         self.emit_progress();
     }
@@ -752,7 +640,7 @@ impl Sched {
     /// session's banked surplus needs no shard requests, so it is merged
     /// on the spot and the session immediately tries its next round —
     /// only a round that actually needs fills parks as `round_open` for
-    /// the flush/gather barrier. The fusion changes scheduling *latency*
+    /// the tick's fill round. The fusion changes scheduling *latency*
     /// only (fewer fixpoint sweeps), never round sizes or their order,
     /// so the determinism contract is untouched. Returns how many rounds
     /// were started or fused.
@@ -774,15 +662,12 @@ impl Sched {
                 let check = StopCheck {
                     cancelled: false,
                     samples: sess.samples,
-                    sample_budget: sess.sample_budget,
+                    sample_budget: sess.spec.sample_budget,
                     elapsed: sess.started.elapsed(),
-                    time_budget: sess.time_budget,
-                    rel_error: if sess.target_error.is_some() {
-                        Some(sess.stat.mean_estimate().relative_error(confidence))
-                    } else {
-                        None
-                    },
-                    target_error: sess.target_error,
+                    time_budget: sess.spec.time_budget_ms.map(Duration::from_millis),
+                    rel_error: (sess.spec.target_error)
+                        .map(|_| sess.stat.mean_estimate().relative_error(confidence)),
+                    target_error: sess.spec.target_error,
                 };
                 if let Some(reason) = check.decide() {
                     self.finish(id, reason);
@@ -795,45 +680,26 @@ impl Sched {
                 // fixed block, clamped only by the session's own remaining
                 // budget (the determinism contract).
                 let mut want = block;
-                if let Some(budget) = sess.sample_budget {
+                if let Some(budget) = sess.spec.sample_budget {
                     want = want.min((budget - sess.samples) as usize);
                 }
-                let drawn = sess.core.draw(&mut sess.rng, want);
+                let drawn = sess.stream.draw(&mut sess.rng, want);
                 if drawn == 0 {
                     self.finish(id, StopReason::Exhausted);
                     break;
                 }
-                if let Some(budget) = sess.sample_budget {
+                if let Some(budget) = sess.spec.sample_budget {
                     // Budget-aware prefetch: cap amplification by the draws
                     // this session can still consume after this round. Pure
                     // session-local state, so the determinism contract holds.
                     let after = budget.saturating_sub(sess.samples + drawn as u64);
-                    sess.core.set_fetch_hint(after);
+                    sess.stream.set_fetch_hint(after);
                 }
                 sess.deficit -= block;
-                sess.seq += 1;
-                sess.core.plan_requests(&mut self.plan);
-                let mut requested = false;
-                for (s, &req) in self.plan.iter().enumerate() {
-                    if req == 0 {
-                        continue;
-                    }
-                    if self.dead[s] {
-                        sess.core.fail(s, FailReason::Disconnected);
-                        continue;
-                    }
-                    self.shard_reqs[s].push(FillReq {
-                        session: id,
-                        n: req,
-                        seq: sess.seq,
-                    });
-                    self.expected.insert((id, s));
-                    sess.awaiting += 1;
-                    sess.fills_sent += 1;
-                    requested = true;
-                }
+                let asked = self.coord.queue_fill(&mut sess.stream);
+                sess.fills_sent += asked as u64;
                 started += 1;
-                if requested {
+                if asked > 0 {
                     sess.round_open = true;
                     break;
                 }
@@ -848,139 +714,31 @@ impl Sched {
     /// estimator.
     fn merge_round(sess: &mut Session, merged: &mut Vec<storm_rtree::Item<2>>) {
         merged.clear();
-        let m = sess.core.merge_into(merged);
+        let m = sess.stream.merge_into(merged);
         for item in merged.iter() {
             sess.stat.push(item.point.get(0));
         }
         sess.samples += m as u64;
-        if sess.core.is_degraded() {
-            sess.stat.set_missing_mass(sess.core.missing_fraction());
-        }
-        if m > 0 {
-            sess.progressed = true;
-        }
-    }
-
-    /// Sends one coalesced `FillMany` per shard with pending requests.
-    fn flush_fills(&mut self) {
-        for s in 0..self.shard_reqs.len() {
-            if self.shard_reqs[s].is_empty() {
-                continue;
-            }
-            let reqs = std::mem::take(&mut self.shard_reqs[s]);
-            if !self.cluster.fill_many(s, reqs) {
-                // Worker gone: write the shard off for everyone waiting.
-                self.dead[s] = true;
-                self.fail_shard_expected(s, FailReason::Disconnected);
-            }
-        }
-    }
-
-    /// Blocks until every expected fill reply arrived (or the safety
-    /// valve fires and writes the stragglers off).
-    fn gather(&mut self) {
-        while !self.expected.is_empty() {
-            match self.reply_rx.recv_timeout(GATHER_TIMEOUT) {
-                Ok(r) => self.dispatch(r),
-                Err(_) => {
-                    self.timed_out.clear();
-                    self.timed_out.extend(self.expected.iter().copied());
-                    for i in 0..self.timed_out.len() {
-                        let (id, s) = self.timed_out[i];
-                        self.dead[s] = true;
-                        self.fail_expected(id, s, FailReason::Timeout);
-                    }
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Routes one worker reply by its echoed tags.
-    fn dispatch(&mut self, reply: ShardReply) {
-        match reply {
-            ShardReply::Opens { shard, opens } => {
-                // One shard's slice of the admission batch: bank every
-                // count (sessions cancelled mid-settle are simply absent
-                // from `opening` and their counts dropped).
-                for o in opens {
-                    let Some(op) = self.opening.get_mut(&o.session) else {
-                        continue;
-                    };
-                    match o.count {
-                        Some(n) => op.counts[shard] = Some(n as u64),
-                        None => {
-                            op.counts[shard] = Some(0);
-                            op.failures.push((shard, FailReason::Aborted));
-                        }
-                    }
-                }
-                self.open_left = self.open_left.saturating_sub(1);
-            }
-            ShardReply::Batches { shard, replies } => {
-                for b in replies {
-                    self.deliver(b.session, shard, b.items);
-                }
-            }
-        }
-    }
-
-    /// Banks one session's batch (or per-session abort) if it is still
-    /// expected; replies for cancelled rounds are dropped here.
-    fn deliver(&mut self, session: u64, shard: usize, items: Option<Vec<storm_rtree::Item<2>>>) {
-        if !self.expected.remove(&(session, shard)) {
-            return;
-        }
-        let Some(sess) = self.table.get_mut(&session) else {
-            return;
-        };
-        match items {
-            Some(items) => sess.core.deliver(shard, items),
-            None => sess.core.fail(shard, FailReason::Aborted),
-        }
-        sess.awaiting -= 1;
-    }
-
-    /// Writes one expected `(session, shard)` fill off as failed.
-    fn fail_expected(&mut self, session: u64, shard: usize, reason: FailReason) {
-        if !self.expected.remove(&(session, shard)) {
-            return;
-        }
-        if let Some(sess) = self.table.get_mut(&session) {
-            sess.core.fail(shard, reason);
-            sess.awaiting -= 1;
-        }
-    }
-
-    /// Writes every expected fill on `shard` off (worker death).
-    fn fail_shard_expected(&mut self, shard: usize, reason: FailReason) {
-        self.timed_out.clear();
-        self.timed_out
-            .extend(self.expected.iter().copied().filter(|&(_, s)| s == shard));
-        for i in 0..self.timed_out.len() {
-            let (id, s) = self.timed_out[i];
-            self.fail_expected(id, s, reason);
-        }
+        sess.stat.set_missing_mass(sess.stream.missing_fraction());
+        sess.progressed |= m > 0;
     }
 
     /// Merges every gathered request round into its session's estimator
     /// (bufferside rounds merged inline by [`Sched::start_rounds`] never
-    /// park here). Returns how many rounds completed.
-    fn complete_rounds(&mut self) -> usize {
-        let mut completed = 0;
+    /// park here).
+    fn complete_rounds(&mut self) {
         for i in 0..self.ids.len() {
             let id = self.ids[i];
             let Some(sess) = self.table.get_mut(&id) else {
                 continue;
             };
-            if !sess.round_open || sess.awaiting > 0 {
+            if !sess.round_open {
                 continue;
             }
             sess.round_open = false;
+            self.coord.apply_round(&mut sess.stream);
             Self::merge_round(sess, &mut self.merged);
-            completed += 1;
         }
-        completed
     }
 
     /// Emits one Progress per session that merged samples this tick;
@@ -998,7 +756,6 @@ impl Sched {
                 continue;
             }
             sess.progressed = false;
-            let degraded = sess.core.is_degraded().then(|| sess.core.degraded_info());
             let progress = Progress {
                 samples: sess.samples,
                 elapsed: sess.started.elapsed(),
@@ -1006,7 +763,7 @@ impl Sched {
                     estimate: sess.stat.mean_estimate(),
                     confidence,
                 },
-                degraded,
+                degraded: sess.stream.degraded(),
             };
             let event = SessionEvent::Progress {
                 session: id,
@@ -1019,18 +776,16 @@ impl Sched {
         }
     }
 
-    /// Ends a live session: reclaims its in-flight credit (outstanding
-    /// expectations dropped, worker streams closed) and emits `Done`.
+    /// Ends a live session: reclaims its credit (worker streams closed at
+    /// the tick's close flush) and emits `Done`.
     fn finish(&mut self, id: u64, reason: StopReason) {
         let Some(sess) = self.table.remove(&id) else {
             return;
         };
-        self.expected.retain(|&(sid, _)| sid != id);
         // The run queue is compacted lazily (tick start) — the scan loops
         // skip ids no longer in the table — and the worker streams are
-        // torn down by the tick's coalesced `CloseMany` flush.
+        // torn down by the tick's coalesced close flush.
         self.pending_close.push(id);
-        let degraded = sess.core.is_degraded().then(|| sess.core.degraded_info());
         let outcome = QueryOutcome {
             result: TaskResult::Aggregate {
                 estimate: sess.stat.mean_estimate(),
@@ -1040,9 +795,9 @@ impl Sched {
             elapsed: sess.started.elapsed(),
             sampler: SamplerKind::RsTree,
             io_reads: sess.fills_sent,
-            q: Some(sess.core.result_count()),
+            q: Some(sess.stream.result_count()),
             io_faults: 0,
-            degraded,
+            degraded: sess.stream.degraded(),
             reason,
         };
         self.done += 1;

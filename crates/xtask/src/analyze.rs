@@ -208,7 +208,8 @@ const A4_SCOPE: [&str; 4] = [
 ];
 
 /// Paths A5 examines for per-item channel traffic: the scatter-gather
-/// executor and the store (the two places the workspace does channel IO).
+/// executor — its workers and its one coordinator — and the store (the
+/// two places the workspace does channel IO).
 const A5_SCOPE: [&str; 2] = ["crates/core/src/parallel", "crates/store/src/"];
 
 /// Path prefixes A7 scans for worker-thread panic exposure (where threads
@@ -223,16 +224,21 @@ const A7_SCOPE: [&str; 3] = [
 /// boxed tree and the samplers over it).
 const A8_SCOPE: [&str; 2] = ["crates/rtree/src/", "crates/core/src/"];
 
-/// Path prefix A9 scans: the serving layer, whose scheduler tick loops
-/// iterate live sessions.
-const A9_SCOPE: [&str; 1] = ["crates/server/src/"];
+/// Path prefixes A9 scans: the serving layer, whose scheduler tick loops
+/// iterate live sessions, and the shard coordinator, whose rounds and
+/// gather every tick drives over those sessions' requests.
+const A9_SCOPE: [&str; 2] = [
+    "crates/server/src/",
+    "crates/core/src/parallel/coordinator.rs",
+];
 
-/// Function names rooting the A9 tick cone within the server crate: the
-/// scheduler thread's entry loop and its per-tick driver.
-const A9_ROOTS: [&str; 2] = ["run", "tick"];
+/// Function names rooting the A9 tick cone within [`A9_SCOPE`]: the
+/// scheduler thread's entry loop and its per-tick driver, and the
+/// coordinator's round entry points (whose gather they reach).
+const A9_ROOTS: [&str; 5] = ["run", "tick", "queue_fill", "fill_round", "apply_round"];
 
-/// Roots of the scheduler tick cone ([`A9_ROOTS`] within the server
-/// crate). Shared by A9 (tick-loop-alloc) and A13 (blocking-channel).
+/// Roots of the scheduler tick cone ([`A9_ROOTS`] within [`A9_SCOPE`]).
+/// Shared by A9 (tick-loop-alloc) and A13 (blocking-channel).
 pub(crate) fn tick_roots(g: &CallGraph<'_>) -> Vec<FnId> {
     let mut roots: Vec<FnId> = Vec::new();
     for id in g.all_fns() {

@@ -83,11 +83,14 @@ const A11_SCOPE: [&str; 3] = [
     "crates/server/src/",
 ];
 
-/// Paths A12 runs the protocol automaton over: the shard protocol's two
-/// issuing sides (executor and scheduler).
+/// Paths A12 runs the protocol automaton over: the shard protocol's one
+/// issuing side (the executor's coordinator) and its two drivers
+/// (`ParallelSampler` beside it, the scheduler in the server).
 const A12_SCOPE: [&str; 2] = ["crates/core/src/parallel", "crates/server/src/"];
 
-/// Path prefixes A13 checks for blocking-channel hazards.
+/// Path prefixes A13 checks for blocking-channel hazards: the executor,
+/// whose coordinator holds the one wait on shard replies, the store, and
+/// the server.
 const A13_SCOPE: [&str; 3] = [
     "crates/core/src/parallel",
     "crates/store/src/",
@@ -478,11 +481,12 @@ pub fn pass_epoch_pin(
 /// Protocol operation classes, by exact variant / method name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ProtoOp {
-    /// The `OpenMany` variant, `open_many`/`open_shard` calls.
+    /// The `OpenMany` variant, `open_shard`/`open_sessions` calls.
     Open,
-    /// The `FillMany` variant, `fill_many` calls.
+    /// The `FillMany` variant, `fill_many`/`queue_fill`/`fill_round`
+    /// calls.
     Fill,
-    /// The `CloseMany` variant, `close_many` calls.
+    /// The `CloseMany` variant, `close_many`/`close_sessions` calls.
     Close,
     /// `Swap` variants, `install_epoch` calls.
     Swap,
@@ -501,12 +505,17 @@ fn variant_op(v: &str) -> Option<ProtoOp> {
 }
 
 /// Protocol wrapper methods, by exact name — never bare `open`/`close`,
-/// which the name-linked call graph would over-resolve.
-const PROTO_METHODS: [(&str, ProtoOp); 5] = [
-    ("open_many", ProtoOp::Open),
+/// which the name-linked call graph would over-resolve: the cluster's
+/// per-shard senders and the coordinator's entry points every driver
+/// calls.
+const PROTO_METHODS: [(&str, ProtoOp); 8] = [
     ("open_shard", ProtoOp::Open),
+    ("open_sessions", ProtoOp::Open),
     ("fill_many", ProtoOp::Fill),
+    ("queue_fill", ProtoOp::Fill),
+    ("fill_round", ProtoOp::Fill),
     ("close_many", ProtoOp::Close),
+    ("close_sessions", ProtoOp::Close),
     ("install_epoch", ProtoOp::Swap),
 ];
 
