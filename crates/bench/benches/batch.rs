@@ -5,7 +5,7 @@
 //!   * `batch_kernel` — single-tree RS sampler, `next_batch(k)` vs the
 //!     one-at-a-time loop, isolating the kernel's amortisation.
 //!   * `batch_cluster` — sharded stream through the parallel executor vs
-//!     the sequential coordinator, isolating the scatter-gather win.
+//!     the in-process composite gather, isolating the scatter-gather win.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
@@ -55,15 +55,14 @@ fn batch_cluster(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_cluster");
     group.sample_size(10);
     for shards in [1usize, 4, 8] {
-        let mut cluster = DistributedRsTree::bulk_load(
+        let cluster = DistributedRsTree::bulk_load(
             data.items.clone(),
             shards,
             RsTreeConfig::with_fanout(FANOUT),
         );
-        let mut rng = StdRng::seed_from_u64(7 ^ shards as u64);
-        cluster.prefill(&mut rng);
 
-        // Sequential baseline: one coordinator pass per draw.
+        // Sequential baseline: one in-process composite-gather pass per
+        // draw.
         group.bench_with_input(BenchmarkId::new("sequential", shards), &shards, |b, _| {
             let mut seed = 0u64;
             b.iter(|| {

@@ -10,8 +10,9 @@
 //! (default 200 000; the paper used ~10⁹ OSM points on a cluster — shapes,
 //! not absolute numbers, are the reproduction target). `--seed <S>` changes
 //! the workload seed. `batch` additionally writes machine-readable
-//! measurements (E12 + the E14 kernel points) to `results/BENCH_results.json`
-//! (override the path with `--json <PATH>`). `kernel` runs E14 alone; with
+//! measurements (E12 + the E14 kernel points) into `results/BENCH_results.json`
+//! (override the path with `--json <PATH>`), replacing earlier E12/E14
+//! entries and keeping E15's. `kernel` runs E14 alone; with
 //! `--floor <SAMPLES/S>` it exits non-zero when the best frozen-kernel
 //! throughput falls below the floor (the CI bench smoke). `serve` runs E15
 //! (multi-session serving vs the naive one-query-at-a-time loop) at
@@ -161,7 +162,9 @@ fn dispatch(
             let mut points = run_batch_throughput(n, &[1, 2, 4, 8], &[16, 64, 256], seed);
             let split = points.len();
             points.extend(run_kernel_bench(n, &[1, 256, 1024], seed));
-            let json = batch_json(&points);
+            // Replace the E12/E14 entries (the ones carrying `q`), keep E15's.
+            let existing = std::fs::read_to_string(json_path).ok();
+            let json = merge_results_json(existing.as_deref(), &batch_json(&points), "q");
             if let Some(dir) = std::path::Path::new(json_path).parent() {
                 if !dir.as_os_str().is_empty() {
                     let _ = std::fs::create_dir_all(dir);

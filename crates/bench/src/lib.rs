@@ -665,13 +665,12 @@ pub fn run_scaling(n: usize, k: usize, seed: u64) -> Vec<Row> {
     let k = k.min(q);
     let mut rows = Vec::new();
     for shards in [1usize, 2, 4, 8, 16, 32] {
-        let mut cluster = DistributedRsTree::bulk_load(
+        let cluster = DistributedRsTree::bulk_load(
             data.items.clone(),
             shards,
             RsTreeConfig::with_fanout(FANOUT),
         );
         let mut rng = StdRng::seed_from_u64(seed ^ shards as u64);
-        cluster.prefill(&mut rng);
         cluster.reset_io();
         let start = Instant::now();
         let mut s = cluster.sampler(query, SampleMode::WithoutReplacement);
@@ -696,10 +695,10 @@ pub fn run_scaling(n: usize, k: usize, seed: u64) -> Vec<Row> {
 /// RS-tree, per executor, batch size, and shard count.
 #[derive(Debug, Clone)]
 pub struct BatchPoint {
-    /// `"inline"` (single-threaded in-process coordinator loop — no
-    /// executor, so also no per-draw messaging cost; the pre-executor
-    /// model), `"sequential"` (scatter-gather executor doing one-at-a-time
-    /// gather: one `Fill(1)` round-trip to a shard per draw, the
+    /// `"inline"` (the single-threaded in-process composite gather over
+    /// the same frozen shards — no executor, so also no per-draw
+    /// messaging cost), `"sequential"` (scatter-gather executor doing
+    /// one-at-a-time gather: one `Fill(1)` round-trip to a shard per draw, the
     /// distributed paper setting's per-sample network hop), or
     /// `"parallel"` (batched scatter-gather: round-trips amortised over
     /// `batch` draws, shard work overlapping across workers).
@@ -730,13 +729,13 @@ impl BatchPoint {
 /// counts × batch sizes, against the sequential one-at-a-time baseline.
 ///
 /// Each configuration drains `min(q, 65536)` samples from a fresh stream
-/// over the *same* prefilled shards, so rows are directly comparable.
+/// over the *same* frozen shards, so rows are directly comparable.
 /// The acceptance comparison is `parallel` (batched) vs `sequential`
 /// (one `Fill(1)` round-trip per draw through the same executor) — the
 /// pair that isolates what batching buys a shard-gather protocol. The
-/// `inline` series is the pre-executor in-process loop: it pays no
-/// messaging at all, so on a single-core host (no shard overlap possible)
-/// it bounds what any executor can reach.
+/// `inline` series is the in-process composite gather over the same
+/// frozen shards: it pays no messaging at all, so on a single-core host
+/// (no shard overlap possible) it bounds what any executor can reach.
 pub fn run_batch_throughput(
     n: usize,
     shard_counts: &[usize],
@@ -750,16 +749,14 @@ pub fn run_batch_throughput(
     let total = q.min(65_536);
     let mut points = Vec::new();
     for &shards in shard_counts {
-        let mut cluster = DistributedRsTree::bulk_load(
+        let cluster = DistributedRsTree::bulk_load(
             data.items.clone(),
             shards,
             RsTreeConfig::with_fanout(FANOUT),
         );
-        let mut rng = StdRng::seed_from_u64(seed ^ shards as u64);
-        cluster.prefill(&mut rng);
 
-        // Inline baseline: the in-process coordinator loop (no executor,
-        // no messaging), one draw per pass.
+        // Inline baseline: the in-process composite gather over the same
+        // frozen shards (no executor, no messaging), one draw per pass.
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5E0);
         let start = Instant::now();
         let mut s = cluster.sampler(query, SampleMode::WithoutReplacement);
@@ -779,16 +776,15 @@ pub fn run_batch_throughput(
             secs,
         });
 
-        // Executor runs over the same shards (the baseline's WOR stream
-        // left the trees intact: a fresh sampler restarts the stream).
+        // Executor runs over the same shards (a stream consumes no shard
+        // state: a fresh sampler restarts the stream).
         // First sequential one-at-a-time gather — a `Fill(1)` round-trip
         // per draw — then the batched configurations.
         let parallel = cluster.into_parallel();
-        // Untimed warm-up: each worker builds its frozen snapshot at
-        // thread start, and on a small host that startup cost would land
-        // on whichever timed series runs first. One tiny drain forces an
-        // Open/Fill round-trip through every worker, so all snapshots
-        // exist before the clock starts.
+        // Untimed warm-up: on a small host each worker thread's start-up
+        // cost would land on whichever timed series runs first. One tiny
+        // drain forces an Open/Fill round-trip through every worker, so
+        // all of them are serving before the clock starts.
         {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x33AA);
             let mut s = parallel.sampler(query, SampleMode::WithReplacement, seed ^ 0x77);
@@ -830,9 +826,9 @@ pub fn run_batch_throughput(
 
 /// E14: the single-thread frozen-kernel microbenchmark. One shard, the
 /// Figure-3(a) workload (q/N = 10% WOR stream), comparing the boxed
-/// RS-tree sampler (the E12 `inline` methodology at 1 shard) against the
-/// frozen flat-array kernel — same tree contents, same stream semantics,
-/// no executor or messaging in either series, so the ratio isolates what
+/// RS-tree sampler against the frozen flat-array kernel — same tree
+/// contents, same stream semantics, no executor or messaging in either
+/// series, so the ratio isolates what
 /// the SoA arena + implicit indexing + alias descents buy a single core.
 ///
 /// Points: `kernel-boxed` (per-draw `next_sample` loop, batch column 1),
@@ -1039,16 +1035,14 @@ pub fn run_serve_bench(n: usize, session_counts: &[usize], seed: u64) -> Vec<Ser
             hi = hi.with(axis, hi.get(axis).max(item.point.get(axis)));
         }
     }
-    let mut cluster = DistributedRsTree::bulk_load(
+    let cluster = DistributedRsTree::bulk_load(
         data.items.clone(),
         SHARDS,
         RsTreeConfig::with_fanout(FANOUT),
     );
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xE15);
-    cluster.prefill(&mut rng);
     // Moved into each serve leg's server and handed back by `shutdown`.
     let mut parallel = cluster.into_parallel();
-    // Untimed warm-up (worker snapshot builds; see run_batch_throughput).
+    // Untimed warm-up (worker start-up; see run_batch_throughput).
     {
         let (query, qseed) = serve_session_query(lo, hi, seed, usize::MAX);
         let mut rng = StdRng::seed_from_u64(qseed);

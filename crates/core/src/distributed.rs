@@ -8,15 +8,23 @@
 //!
 //! * the data is **range-partitioned along the Hilbert curve** into
 //!   contiguous segments of equal cardinality — each simulated machine
-//!   (shard) owns one curve segment and indexes it with its own
-//!   [`RsTree`];
+//!   (shard) owns one curve segment, packed in place into its own
+//!   [`FrozenRsTree`];
 //! * a query is **scattered**: each shard computes its exact partial count
-//!   `q_s` from aggregate counts (cheap, `O(r)` per shard);
+//!   `q_s` from implicit counts (cheap, `O(r)` per shard);
 //! * samples are **gathered** by drawing a shard proportionally to its
 //!   remaining count and pulling the next sample from that shard's local
 //!   stream. Because shards partition the data, the merged
 //!   without-replacement stream is a uniform WOR stream of the global
-//!   result — no cross-shard deduplication is needed.
+//!   result — no cross-shard deduplication is needed. In process the
+//!   gather is the ingest tier's [`CompositeSampler`] (the shards are an
+//!   epoch's runs, the delta is empty); threaded, it is the
+//!   [`ParallelRsCluster`](crate::ParallelRsCluster) coordinator
+//!   ([`DistributedRsTree::into_parallel`]).
+//!
+//! Shards are immutable: a caller with new data partitions it again and
+//! hands the new shards to
+//! [`ParallelRsCluster::install_epoch`](crate::ParallelRsCluster::install_epoch).
 //!
 //! Per-shard I/O counters make both cost views measurable: the *sum* is
 //! total cluster work, the *maximum* is the critical path (what a user
@@ -24,29 +32,26 @@
 
 use std::sync::Arc;
 
-use rand::{Rng, RngExt};
 use storm_geo::curve::{HilbertCurve, SpaceFillingCurve};
 use storm_geo::{Point2, Rect2};
-use storm_rtree::Item;
+use storm_rtree::{IoStats, Item};
 
-use crate::rs_tree::{RsTree, RsTreeConfig};
-use crate::{FrozenRsTree, SampleMode, SamplerKind, SpatialSampler};
+use crate::ingest::{CompositeSampler, DeltaBuffer, EpochState};
+use crate::rs_tree::RsTreeConfig;
+use crate::{FrozenRsTree, SampleMode};
 
-/// A simulated cluster: Hilbert-range-partitioned shards, each with its
-/// own RS-tree.
+/// A simulated cluster: Hilbert-range-partitioned frozen shards.
 #[derive(Debug)]
 pub struct DistributedRsTree {
-    shards: Vec<RsTree<2>>,
-    /// Upper Hilbert-key boundary (exclusive) of each shard except the
-    /// last, in ascending order; routing is a binary search over these.
-    boundaries: Vec<u64>,
-    curve: HilbertCurve,
-    bounds: Rect2,
+    shards: Vec<Arc<FrozenRsTree<2>>>,
 }
 
 impl DistributedRsTree {
     /// Partitions `items` into `num_shards` equal-cardinality Hilbert-curve
-    /// segments and bulk loads one RS-tree per shard.
+    /// segments (empty shards included when items are scarce) and packs
+    /// each segment in place into a frozen shard with its own I/O counter,
+    /// one scoped thread per shard. Of `cfg`, only the fanout
+    /// (`cfg.rtree.max_entries`) is read.
     ///
     /// # Panics
     /// Panics when `num_shards == 0`.
@@ -65,30 +70,29 @@ impl DistributedRsTree {
         items.sort_by_cached_key(|it| curve.index_of_point(&bounds, &it.point));
 
         let per_shard = items.len().div_ceil(num_shards).max(1);
-        let mut shards = Vec::with_capacity(num_shards);
-        let mut boundaries = Vec::with_capacity(num_shards.saturating_sub(1));
-        let mut start = 0usize;
-        for s in 0..num_shards {
-            let end = ((s + 1) * per_shard).min(items.len());
-            // storm-analyzer: allow(A4): bulk-load sharding — one chunk copy per shard per build, never per draw
-            let chunk: Vec<Item<2>> = items[start.min(end)..end].to_vec();
-            if s + 1 < num_shards {
-                // The boundary key is the first key of the *next* chunk (or
-                // the max key when this shard absorbed the tail).
-                let key = items
-                    .get(end)
-                    .map_or(u64::MAX, |it| curve.index_of_point(&bounds, &it.point));
-                boundaries.push(key);
-            }
-            shards.push(RsTree::bulk_load(chunk, cfg));
-            start = end;
-        }
-        DistributedRsTree {
-            shards,
-            boundaries,
-            curve,
-            bounds,
-        }
+        let fanout = cfg.rtree.max_entries;
+        let empty = std::iter::repeat_with(|| -> &mut [Item<2>] { &mut [] });
+        let shards = std::thread::scope(|scope| {
+            let builds: Vec<_> = items
+                .chunks_mut(per_shard)
+                .chain(empty)
+                .take(num_shards)
+                .map(|chunk| {
+                    let io = Arc::new(IoStats::default());
+                    scope.spawn(move || FrozenRsTree::build_run(chunk, fanout, io))
+                })
+                .collect();
+            builds
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(shard) => Arc::new(shard),
+                    // A build has no contained-failure mode: re-raise on
+                    // the caller's thread, as a serial loop would have.
+                    Err(panic) => std::panic::resume_unwind(panic),
+                })
+                .collect()
+        });
+        DistributedRsTree { shards }
     }
 
     /// Number of shards (simulated machines).
@@ -98,7 +102,7 @@ impl DistributedRsTree {
 
     /// Total points across the cluster.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(RsTree::len).sum()
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
     /// True when the cluster holds no data.
@@ -106,15 +110,16 @@ impl DistributedRsTree {
         self.len() == 0
     }
 
-    /// The shard a point routes to.
-    pub fn shard_of(&self, p: &Point2) -> usize {
-        let key = self.curve.index_of_point(&self.bounds, p);
-        self.boundaries.partition_point(|&b| b <= key)
+    /// Read access to one shard.
+    pub fn shard(&self, s: usize) -> &FrozenRsTree<2> {
+        &self.shards[s]
     }
 
-    /// Read access to one shard.
-    pub fn shard(&self, s: usize) -> &RsTree<2> {
-        &self.shards[s]
+    /// Every shard, as the unit the parallel executor holds, swaps and
+    /// serves ([`ParallelRsCluster::from_frozen`](crate::ParallelRsCluster::from_frozen),
+    /// [`install_epoch`](crate::ParallelRsCluster::install_epoch)).
+    pub fn shards(&self) -> Vec<Arc<FrozenRsTree<2>>> {
+        self.shards.clone()
     }
 
     /// Exact `|P ∩ Q|` (scatter the count, gather the sum).
@@ -124,7 +129,7 @@ impl DistributedRsTree {
 
     /// Total block reads across all shards (cluster work).
     pub fn total_reads(&self) -> u64 {
-        self.shards.iter().map(|s| s.io().reads()).sum()
+        self.shards.iter().map(|s| s.tree().io().reads()).sum()
     }
 
     /// Largest per-shard block-read count (the critical path under
@@ -132,7 +137,7 @@ impl DistributedRsTree {
     pub fn max_shard_reads(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.io().reads())
+            .map(|s| s.tree().io().reads())
             .max()
             .unwrap_or(0)
     }
@@ -140,176 +145,32 @@ impl DistributedRsTree {
     /// Resets every shard's I/O counter.
     pub fn reset_io(&self) {
         for s in &self.shards {
-            s.io().reset();
+            s.tree().io().reset();
         }
     }
 
-    /// Prefills every shard's node buffers (construction-time sampling).
-    pub fn prefill(&mut self, rng: &mut dyn Rng) {
-        for s in &mut self.shards {
-            s.prefill(&mut *rng);
-        }
-    }
-
-    /// Routes an insert to its Hilbert segment.
-    ///
-    /// Note: unlike a production system we do not re-balance segments; a
-    /// heavily skewed insert stream will grow one shard (the paper's
-    /// system has the same property between re-partitions).
-    pub fn insert(&mut self, item: Item<2>, rng: &mut dyn Rng) {
-        let s = self.shard_of(&item.point);
-        self.shards[s].insert(item, rng);
-    }
-
-    /// Removes a point from its shard. Returns `false` when absent.
-    pub fn remove(&mut self, point: &Point2, id: u64, rng: &mut dyn Rng) -> bool {
-        let s = self.shard_of(point);
-        if self.shards[s].remove(point, id, rng) {
-            return true;
-        }
-        // Boundary drift after inserts can leave a point one shard off;
-        // fall back to a cluster-wide attempt (rare, still correct).
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            if i != s && shard.remove(point, id, rng) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Snapshots every shard into its read-optimized frozen form — the
-    /// unit the parallel executor holds, swaps and serves. The freezes run
-    /// concurrently, one scoped thread per shard; `self` is only read, so
-    /// the caller keeps updating it and freezes again for the next epoch.
-    pub fn freeze_shards(&self) -> Vec<Arc<FrozenRsTree<2>>> {
-        std::thread::scope(|scope| {
-            let freezes: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(|| shard.freeze()))
-                .collect();
-            freezes
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(frozen) => Arc::new(frozen),
-                    // A freeze has no contained-failure mode: re-raise on
-                    // the caller's thread, as the serial loop would have.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        })
-    }
-
-    /// Freezes every shard and starts one worker thread per frozen shard,
-    /// returning the parallel scatter-gather executor.
+    /// Starts one worker thread per shard, returning the parallel
+    /// scatter-gather executor.
     pub fn into_parallel(self) -> crate::ParallelRsCluster {
-        crate::ParallelRsCluster::from_frozen(self.freeze_shards())
+        crate::ParallelRsCluster::from_frozen(self.shards)
     }
 
-    /// Opens a scatter/gather sampling stream for `query`.
-    pub fn sampler(&mut self, query: Rect2, mode: SampleMode) -> DistributedSampler<'_> {
-        // Scatter: open a local stream per shard (each computes its own
-        // canonical count); prune shards with empty intersections.
-        let mut locals = Vec::new();
-        for shard in &mut self.shards {
-            let local = shard.sampler(query, mode);
-            if local.result_size().unwrap_or(0) > 0 {
-                locals.push(local);
-            }
-        }
-        let remaining: Vec<u64> = locals
-            .iter()
-            .map(|l| l.result_size().unwrap_or(0) as u64)
-            .collect();
-        let weights = remaining.clone();
-        let total: u64 = remaining.iter().sum();
-        DistributedSampler {
-            locals,
-            weights,
-            remaining,
-            total_remaining: total,
-            total: total as usize,
-            mode,
-        }
-    }
-}
-
-/// The gather side of distributed sampling: merges per-shard streams into
-/// one uniform stream by count-weighted shard selection.
-#[derive(Debug)]
-pub struct DistributedSampler<'a> {
-    locals: Vec<crate::rs_tree::RsSampler<'a, 2>>,
-    /// Initial per-shard result counts.
-    weights: Vec<u64>,
-    /// Unemitted counts (for without-replacement).
-    remaining: Vec<u64>,
-    total_remaining: u64,
-    total: usize,
-    mode: SampleMode,
-}
-
-impl SpatialSampler<2> for DistributedSampler<'_> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<2>> {
-        let rng = &mut *rng;
-        if self.locals.is_empty() {
-            return None;
-        }
-        match self.mode {
-            SampleMode::WithReplacement => {
-                // Shard ∝ initial count, then an independent local draw.
-                let total: u64 = self.weights.iter().sum();
-                let mut target = rng.random_range(0..total);
-                for (i, &w) in self.weights.iter().enumerate() {
-                    if target < w {
-                        return self.locals[i].next_sample(rng);
-                    }
-                    target -= w;
-                }
-                unreachable!("weighted walk within total")
-            }
-            SampleMode::WithoutReplacement => {
-                if self.total_remaining == 0 {
-                    return None;
-                }
-                // Shard ∝ remaining count keeps the merged stream uniform
-                // over the unseen points (shards are disjoint).
-                let mut target = rng.random_range(0..self.total_remaining);
-                for i in 0..self.locals.len() {
-                    let w = self.remaining[i];
-                    if target < w {
-                        match self.locals[i].next_sample(rng) {
-                            Some(item) => {
-                                self.remaining[i] -= 1;
-                                self.total_remaining -= 1;
-                                return Some(item);
-                            }
-                            None => {
-                                // Defensive: local stream dried early.
-                                self.total_remaining -= self.remaining[i];
-                                self.remaining[i] = 0;
-                                return self.next_sample(rng);
-                            }
-                        }
-                    }
-                    target -= w;
-                }
-                unreachable!("weighted walk within total_remaining")
-            }
-        }
-    }
-
-    fn kind(&self) -> SamplerKind {
-        SamplerKind::RsTree
-    }
-
-    fn result_size(&self) -> Option<usize> {
-        Some(self.total)
+    /// Opens an in-process scatter/gather stream for `query`: the shards
+    /// are the runs of an epoch with an empty delta.
+    pub fn sampler(&self, query: Rect2, mode: SampleMode) -> CompositeSampler<2> {
+        let state = EpochState {
+            runs: self.shards(),
+            delta: Arc::new(DeltaBuffer::default()),
+        };
+        CompositeSampler::open(0, Arc::new(state), query, mode)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rs_tree::RsTree;
+    use crate::SpatialSampler;
     use rand::{rngs::StdRng, SeedableRng};
     use std::collections::HashSet;
 
@@ -319,14 +180,77 @@ mod tests {
             .collect()
     }
 
-    /// Off-grid insert location for the update test.
-    #[allow(non_snake_case)]
-    fn Item2_xy(j: u64) -> Point2 {
-        Point2::xy(50.05 + (j % 9) as f64 * 0.1, 10.0 + (j / 9) as f64 * 1e-4)
-    }
-
     fn cluster(n: usize, shards: usize) -> DistributedRsTree {
         DistributedRsTree::bulk_load(grid_items(n), shards, RsTreeConfig::with_fanout(16))
+    }
+
+    /// Each frozen-born shard must be, slot for slot, what the boxed
+    /// reference build (`RsTree::bulk_load` then `freeze`) yields for the
+    /// same segment, fed in input order: ids, points and every node rect.
+    fn assert_shards_match_boxed_freeze(items: &[Item<2>], shards: usize, fanout: usize) {
+        let cfg = RsTreeConfig::with_fanout(fanout);
+        let c = DistributedRsTree::bulk_load(items.to_vec(), shards, cfg);
+        for s in 0..c.num_shards() {
+            let born = c.shard(s).tree();
+            let ids: HashSet<u64> = (0..born.len()).map(|i| born.id(i)).collect();
+            let chunk: Vec<Item<2>> = items
+                .iter()
+                .filter(|it| ids.contains(&it.id))
+                .copied()
+                .collect();
+            let boxed = RsTree::bulk_load(chunk, cfg).freeze();
+            let reference = boxed.tree();
+            assert_eq!(born.len(), reference.len(), "shard {s}");
+            for i in 0..born.len() {
+                assert_eq!(born.id(i), reference.id(i), "shard {s} slot {i}");
+                assert_eq!(born.point(i), reference.point(i), "shard {s} slot {i}");
+            }
+            assert_eq!(born.height(), reference.height(), "shard {s}");
+            for level in 0..born.height() {
+                for idx in 0..born.nodes_at(level) {
+                    assert_eq!(
+                        born.node_rect(level, idx),
+                        reference.node_rect(level, idx),
+                        "shard {s} level {level} node {idx}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_born_shards_equal_the_boxed_freeze_on_grid_data() {
+        assert_shards_match_boxed_freeze(&grid_items(10_000), 7, 16);
+    }
+
+    #[test]
+    fn frozen_born_shards_equal_the_boxed_freeze_on_osm_data() {
+        let data = storm_workload::osm::generate(20_000, 11);
+        assert_shards_match_boxed_freeze(&data.items, 5, 32);
+    }
+
+    #[test]
+    fn more_shards_than_items_keeps_every_shard() {
+        let c = cluster(9, 4);
+        assert_eq!(c.num_shards(), 4);
+        assert_eq!(c.len(), 9);
+        assert_eq!(
+            (0..4).map(|s| c.shard(s).len()).collect::<Vec<_>>(),
+            vec![3, 3, 3, 0]
+        );
+        let everything = Rect2::from_corners(Point2::xy(-1.0, -1.0), Point2::xy(100.0, 1.0));
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut drain = |s: &mut dyn SpatialSampler<2>| {
+            assert_eq!(s.result_size(), Some(9));
+            let got: HashSet<u64> = s.draw(100, &mut rng).iter().map(|it| it.id).collect();
+            assert_eq!(got, (0..9).collect::<HashSet<u64>>());
+        };
+        drain(&mut c.sampler(everything, SampleMode::WithoutReplacement));
+        let p = cluster(9, 4).into_parallel();
+        assert_eq!(p.num_shards(), 4);
+        drain(&mut p.sampler(everything, SampleMode::WithoutReplacement, 3));
+        assert_eq!(p.install_epoch(c.shards()), Ok(1));
+        drain(&mut p.sampler(everything, SampleMode::WithoutReplacement, 4));
     }
 
     #[test]
@@ -354,7 +278,7 @@ mod tests {
 
     #[test]
     fn wor_stream_is_exactly_the_query_result() {
-        let mut c = cluster(5_000, 5);
+        let c = cluster(5_000, 5);
         let q = Rect2::from_corners(Point2::xy(13.0, 7.0), Point2::xy(61.0, 29.0));
         let expected: HashSet<u64> = grid_items(5_000)
             .iter()
@@ -381,9 +305,9 @@ mod tests {
         let trials = 30_000;
         let mut rng = StdRng::seed_from_u64(2);
         let mut counts = std::collections::HashMap::new();
+        // A stream consumes no shard state, so one build serves every trial.
+        let c = DistributedRsTree::bulk_load(items, 6, RsTreeConfig::with_fanout(8));
         for _ in 0..trials {
-            let mut c =
-                DistributedRsTree::bulk_load(items.clone(), 6, RsTreeConfig::with_fanout(8));
             let mut s = c.sampler(q, SampleMode::WithoutReplacement);
             let first = s.next_sample(&mut rng).unwrap();
             *counts.entry(first.id).or_insert(0usize) += 1;
@@ -410,7 +334,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut max_reads = Vec::new();
         for shards in [1usize, 4, 16] {
-            let mut c =
+            let c =
                 DistributedRsTree::bulk_load(items.clone(), shards, RsTreeConfig::with_fanout(16));
             c.reset_io();
             let mut s = c.sampler(q, SampleMode::WithoutReplacement);
@@ -425,35 +349,8 @@ mod tests {
     }
 
     #[test]
-    fn updates_route_to_the_right_shard_and_stay_correct() {
-        let mut c = cluster(2_000, 4);
-        let mut rng = StdRng::seed_from_u64(4);
-        // Insert a cluster of new points at off-grid coordinates so the
-        // probe rectangle below contains only them.
-        for j in 0..100u64 {
-            c.insert(Item::new(Item2_xy(j), 10_000 + j), &mut rng);
-        }
-        assert_eq!(c.len(), 2_100);
-        let q = Rect2::from_corners(Point2::xy(50.01, 9.9), Point2::xy(50.99, 10.1));
-        assert_eq!(c.exact_count(&q), 100);
-        // Remove half of them again.
-        for j in 0..50u64 {
-            let p = Item2_xy(j);
-            assert!(c.remove(&p, 10_000 + j, &mut rng), "lost insert {j}");
-        }
-        assert_eq!(c.exact_count(&q), 50);
-        // Stream over the region is exact.
-        let mut s = c.sampler(q, SampleMode::WithoutReplacement);
-        let mut n = 0;
-        while s.next_sample(&mut rng).is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 50);
-    }
-
-    #[test]
     fn single_shard_cluster_degenerates_to_plain_rs() {
-        let mut c = cluster(1_000, 1);
+        let c = cluster(1_000, 1);
         let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(20.0, 5.0));
         let expected = c.exact_count(&q);
         let mut rng = StdRng::seed_from_u64(5);
@@ -463,7 +360,7 @@ mod tests {
 
     #[test]
     fn with_replacement_streams_do_not_exhaust() {
-        let mut c = cluster(1_000, 3);
+        let c = cluster(1_000, 3);
         let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(50.0, 9.0));
         let mut rng = StdRng::seed_from_u64(6);
         let mut s = c.sampler(q, SampleMode::WithReplacement);
@@ -475,7 +372,7 @@ mod tests {
 
     #[test]
     fn empty_query_yields_empty_stream() {
-        let mut c = cluster(500, 4);
+        let c = cluster(500, 4);
         let q = Rect2::from_corners(Point2::xy(900.0, 900.0), Point2::xy(901.0, 901.0));
         let mut rng = StdRng::seed_from_u64(7);
         let mut s = c.sampler(q, SampleMode::WithoutReplacement);

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use rand::{Rng, RngExt};
 use storm_geo::Rect;
-use storm_rtree::{FrozenCone, FrozenConeEntry, FrozenRTree, Item};
+use storm_rtree::{hilbert_sort, FrozenCone, FrozenConeEntry, FrozenRTree, IoStats, Item};
 
 use crate::rs_tree::RsTree;
 use crate::weighted::{SelectorKind, WeightedSelector};
@@ -89,6 +89,17 @@ impl<const D: usize> FrozenRsTree<D> {
             alias,
             level_base,
         }
+    }
+
+    /// The one run builder: Hilbert-sorts `items` in place over their own
+    /// bounding box, then packs them with
+    /// [`FrozenRTree::build_presorted`] — the slice is exactly the item set
+    /// the sort ordered, as that contract asks — and wraps the arena.
+    /// Builds the cluster's shards (one call per partition slice) and the
+    /// ingest tier's runs.
+    pub(crate) fn build_run(items: &mut [Item<D>], fanout: usize, io: Arc<IoStats>) -> Self {
+        hilbert_sort(items);
+        Self::new(FrozenRTree::build_presorted(items, fanout, io))
     }
 
     /// The underlying frozen arena.

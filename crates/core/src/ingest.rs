@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 use rand::{Rng, RngExt};
 use storm_faultkit::{FaultHook, FaultKind, FaultSite};
 use storm_geo::Rect;
-use storm_rtree::{hilbert_sort, FrozenRTree, IoStats, Item};
+use storm_rtree::{IoStats, Item};
 use storm_store::runs::RunRegistry;
 
 use crate::frozen::{FrozenRsTree, FrozenSampler};
@@ -312,11 +312,9 @@ impl<const D: usize> IngestIndex<D> {
         } else {
             runs.extend(state.runs.iter().map(Arc::clone));
         }
-        hilbert_sort(&mut drained);
-        self.fault_step(&mut step)?; // step after sort
         if !drained.is_empty() {
-            let arena = FrozenRTree::build_presorted(&drained, self.cfg.fanout, self.io_handle());
-            runs.push(Arc::new(FrozenRsTree::new(arena)));
+            let run = FrozenRsTree::build_run(&mut drained, self.cfg.fanout, self.io_handle());
+            runs.push(Arc::new(run));
         }
         self.fault_step(&mut step)?; // final step: built, about to publish
         Ok(EpochState {
@@ -424,7 +422,12 @@ pub struct CompositeSampler<const D: usize> {
 }
 
 impl<const D: usize> CompositeSampler<D> {
-    fn open(epoch: u64, state: Arc<EpochState<D>>, query: Rect<D>, mode: SampleMode) -> Self {
+    pub(crate) fn open(
+        epoch: u64,
+        state: Arc<EpochState<D>>,
+        query: Rect<D>,
+        mode: SampleMode,
+    ) -> Self {
         let runs: Vec<RunStream<D>> = state
             .runs
             .iter()

@@ -38,7 +38,7 @@ mod sample_first;
 pub mod validate;
 mod weighted;
 
-pub use distributed::{DistributedRsTree, DistributedSampler};
+pub use distributed::DistributedRsTree;
 pub use frozen::{FrozenRsTree, FrozenSampler};
 pub use ingest::{CompositeSampler, DeltaBuffer, EpochState, IngestConfig, IngestIndex};
 pub use ls_tree::{LsSampler, LsTree};

@@ -1,15 +1,16 @@
 //! Parallel shard scatter-gather execution for the distributed RS-tree.
 //!
-//! [`crate::DistributedRsTree`] gathers its shards sequentially on the
-//! caller's thread; this module is the production-shaped executor: every
-//! shard is an immutable frozen snapshot (`Arc<FrozenRsTree<2>>`) served
-//! by its own long-lived worker thread, queries are scattered as
-//! messages, and sample batches are gathered over channels. The frozen
-//! snapshot is the only shard currency here — what a cluster is built
-//! from ([`ParallelRsCluster::from_frozen`]), what a worker holds, and
-//! what an epoch install swaps in — so a boxed tree's
-//! [`freeze`](crate::RsTree::freeze) and an [`crate::IngestIndex`] run
-//! enter the same way, uncopied. The protocol mirrors the paper's cluster
+//! [`crate::DistributedRsTree`] partitions the data into frozen shards and
+//! gathers them in process through [`crate::CompositeSampler`]; this
+//! module is the threaded executor over the same shards: every shard is an
+//! immutable frozen snapshot (`Arc<FrozenRsTree<2>>`) served by its own
+//! long-lived worker thread, queries are scattered as messages, and sample
+//! batches are gathered over channels. The frozen snapshot is the only
+//! shard currency here — what a cluster is built from
+//! ([`ParallelRsCluster::from_frozen`]), what a worker holds, and what an
+//! epoch install swaps in — so a partition's shards, an
+//! [`crate::IngestIndex`] run and a boxed tree's
+//! [`freeze`](crate::RsTree::freeze) enter the same way, uncopied. The protocol mirrors the paper's cluster
 //! deployment — the coordinator talks to shard servers, each of which
 //! does its own I/O.
 //!
@@ -45,8 +46,8 @@
 //! phases:
 //!
 //! 1. **draw** — the session's stream draws `k` shard indices from the
-//!    remaining-count multinomial (the identical bookkeeping the sequential
-//!    gather applies per draw, just run as a block);
+//!    remaining-count multinomial (the bookkeeping a sequential
+//!    count-weighted gather applies per draw, just run as a block);
 //! 2. **scatter/gather** — each shard owing `n > 0` samples receives a
 //!    fill `{session, n, seq}` and answers with a batch drawn by its local
 //!    batched kernel ([`crate::SpatialSampler::next_batch`]);

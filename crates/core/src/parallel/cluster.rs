@@ -90,14 +90,14 @@ impl std::fmt::Debug for WorkerHandle {
 
 /// A pool of frozen shards, each served by its own worker thread.
 ///
-/// Build one with [`ParallelRsCluster::from_frozen`] — the boxed
-/// reference cluster's `into_parallel` ([`crate::distributed`]) is that
-/// over its frozen shards, and an [`crate::IngestIndex`] run is already
-/// the shard type. The cluster serves reads only: a caller that keeps
-/// updating keeps its mutable index and hands each new frozen epoch to
+/// Build one with [`ParallelRsCluster::from_frozen`] — a Hilbert
+/// partition's `into_parallel` ([`crate::distributed`]) is that over its
+/// shards, and an [`crate::IngestIndex`] run is already the shard type.
+/// The cluster serves reads only: a caller with new data partitions it
+/// again (or keeps an ingest index) and hands each new frozen epoch to
 /// [`ParallelRsCluster::install_epoch`]. Streams opened by
 /// [`ParallelRsCluster::sampler`] produce the same distribution as the
-/// sequential gather, and are deterministic under a fixed seed (see the
+/// in-process gather ([`crate::DistributedRsTree::sampler`]), and are deterministic under a fixed seed (see the
 /// module docs). Any number of streams may be open concurrently —
 /// `sampler` takes `&self`, per-query state lives in the
 /// [`ParallelSampler`], and the workers multiplex their session tables.

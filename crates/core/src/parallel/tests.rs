@@ -127,10 +127,11 @@ fn concurrent_sessions_cannot_perturb_each_other() {
 
 #[test]
 fn a_kept_tree_feeds_inserts_to_new_opens_through_install_epoch() {
-    // The executor serves reads only. A caller that keeps updating keeps
-    // its boxed cluster, and hands each re-frozen epoch to the workers.
-    let mut d = DistributedRsTree::bulk_load(grid_items(2_000), 4, RsTreeConfig::with_fanout(16));
-    let c = ParallelRsCluster::from_frozen(d.freeze_shards());
+    // The executor serves reads only. A caller with new data partitions
+    // it again (the grid plus the inserts) and hands that epoch to the
+    // workers.
+    let d = DistributedRsTree::bulk_load(grid_items(2_000), 4, RsTreeConfig::with_fanout(16));
+    let c = ParallelRsCluster::from_frozen(d.shards());
     assert_eq!(c.num_shards(), 4);
     assert_eq!(c.len(), 2_000);
     assert_eq!(c.dropped_sends(), 0);
@@ -139,17 +140,19 @@ fn a_kept_tree_feeds_inserts_to_new_opens_through_install_epoch() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut before = c.sampler(q, SampleMode::WithoutReplacement, 1);
     assert_eq!(before.result_size(), Some(0));
+    let mut items = grid_items(2_000);
     for j in 0..100u64 {
         let p = Point2::xy(50.05 + (j % 9) as f64 * 0.1, 10.0 + (j / 9) as f64 * 1e-4);
-        d.insert(Item::new(p, 10_000 + j), &mut rng);
+        items.push(Item::new(p, 10_000 + j));
     }
+    let next = DistributedRsTree::bulk_load(items, 4, RsTreeConfig::with_fanout(16));
     // Not installed yet: the cluster still serves the epoch it started on.
     assert_eq!(
         c.sampler(q, SampleMode::WithoutReplacement, 2)
             .result_size(),
         Some(0)
     );
-    assert_eq!(c.install_epoch(d.freeze_shards()), Ok(1));
+    assert_eq!(c.install_epoch(next.shards()), Ok(1));
     assert_eq!(c.len(), 2_100);
     let mut s = c.sampler(q, SampleMode::WithoutReplacement, 3);
     assert_eq!(s.result_size(), Some(100));
@@ -164,7 +167,7 @@ fn a_mismatched_epoch_is_refused_before_any_worker_swaps() {
     let c = cluster(2_000, 4);
     let three = DistributedRsTree::bulk_load(grid_items(300), 3, RsTreeConfig::with_fanout(16));
     assert_eq!(
-        c.install_epoch(three.freeze_shards()),
+        c.install_epoch(three.shards()),
         Err(EpochError {
             expected: 4,
             got: 3
@@ -207,7 +210,7 @@ fn empty_query_yields_empty_stream() {
 #[test]
 fn sequential_and_parallel_agree_on_first_draw_distribution() {
     // Chi-square on the first parallel draw against uniform — the same
-    // bar the sequential gather's test holds itself to.
+    // bar the in-process gather's test holds itself to.
     let items = grid_items(900);
     let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(99.0, 0.0)); // 100 pts
     let trials = 20_000;

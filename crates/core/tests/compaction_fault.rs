@@ -1,6 +1,7 @@
 //! Crash/recovery matrix for minor freezes and compactions: a fault
 //! injected at **any** step of the merge — entry, delta drain, each run
-//! concatenation, post-sort, pre-publish — must leave the run registry
+//! concatenation, pre-publish (sort and build are one step between the
+//! last two) — must leave the run registry
 //! on exactly the old epoch or exactly the new one. A half-merged state
 //! (some runs swapped, delta partially drained, epoch bumped without the
 //! new run-set) must be unobservable, and no item may ever be lost or

@@ -50,7 +50,7 @@ fn cluster() -> ParallelRsCluster {
 }
 
 fn frozen_shards(items: Vec<Item<2>>) -> Vec<Arc<FrozenRsTree<2>>> {
-    DistributedRsTree::bulk_load(items, 4, RsTreeConfig::with_fanout(16)).freeze_shards()
+    DistributedRsTree::bulk_load(items, 4, RsTreeConfig::with_fanout(16)).shards()
 }
 
 fn next_epoch() -> Vec<Arc<FrozenRsTree<2>>> {

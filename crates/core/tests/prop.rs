@@ -80,7 +80,7 @@ proptest! {
         prop_assert_eq!(drain(&mut rss, &mut rng).expect("no dupes"), expected.clone());
         drop(rss);
 
-        let mut cluster = DistributedRsTree::bulk_load(items, shards, RsTreeConfig::with_fanout(8));
+        let cluster = DistributedRsTree::bulk_load(items, shards, RsTreeConfig::with_fanout(8));
         let mut ds = cluster.sampler(query, SampleMode::WithoutReplacement);
         prop_assert_eq!(drain(&mut ds, &mut rng).expect("no dupes"), expected);
     }

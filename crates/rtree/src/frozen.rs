@@ -199,7 +199,9 @@ impl<const D: usize> FrozenRTree<D> {
         self.level_off.len()
     }
 
-    /// The simulated-I/O counter (shared with the source tree).
+    /// The simulated-I/O counter this arena was built with: the source
+    /// tree's after [`RTree::freeze`], otherwise whatever handle the
+    /// builder passed in.
     pub fn io(&self) -> &IoStats {
         &self.io
     }

@@ -48,7 +48,7 @@ const SHARDS: usize = 4;
 
 /// `items` as one frozen snapshot per shard — an installable epoch.
 fn frozen_shards(items: Vec<Item<2>>, shards: usize) -> Vec<Arc<FrozenRsTree<2>>> {
-    DistributedRsTree::bulk_load(items, shards, RsTreeConfig::with_fanout(16)).freeze_shards()
+    DistributedRsTree::bulk_load(items, shards, RsTreeConfig::with_fanout(16)).shards()
 }
 
 fn cluster(items: Vec<Item<2>>) -> ParallelRsCluster {
