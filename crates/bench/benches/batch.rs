@@ -5,7 +5,8 @@
 //!   * `batch_kernel` — single-tree RS sampler, `next_batch(k)` vs the
 //!     one-at-a-time loop, isolating the kernel's amortisation.
 //!   * `batch_cluster` — sharded stream through the parallel executor vs
-//!     the in-process composite gather, isolating the scatter-gather win.
+//!     the same coordinator stepping the shards on the caller's thread,
+//!     isolating what the worker threads cost or buy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
@@ -61,14 +62,14 @@ fn batch_cluster(c: &mut Criterion) {
             RsTreeConfig::with_fanout(FANOUT),
         );
 
-        // Sequential baseline: one in-process composite-gather pass per
-        // draw.
+        // Sequential baseline: the in-process gather (the coordinator
+        // stepping the shards on this thread), one draw per call.
         group.bench_with_input(BenchmarkId::new("sequential", shards), &shards, |b, _| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut s = cluster.sampler(query, SampleMode::WithoutReplacement);
+                let mut s = cluster.sampler(query, SampleMode::WithoutReplacement, seed);
                 let mut drawn = 0usize;
                 while drawn < DRAW && s.next_sample(&mut rng).is_some() {
                     drawn += 1;

@@ -164,7 +164,8 @@ fn dispatch(
             points.extend(run_kernel_bench(n, &[1, 256, 1024], seed));
             // Replace the E12/E14 entries (the ones carrying `q`), keep E15's.
             let existing = std::fs::read_to_string(json_path).ok();
-            let json = merge_results_json(existing.as_deref(), &batch_json(&points), "q");
+            let json =
+                merge_results_json(existing.as_deref(), &batch_json(&points, &run_stamp()), "q");
             if let Some(dir) = std::path::Path::new(json_path).parent() {
                 if !dir.as_os_str().is_empty() {
                     let _ = std::fs::create_dir_all(dir);

@@ -673,7 +673,7 @@ pub fn run_scaling(n: usize, k: usize, seed: u64) -> Vec<Row> {
         let mut rng = StdRng::seed_from_u64(seed ^ shards as u64);
         cluster.reset_io();
         let start = Instant::now();
-        let mut s = cluster.sampler(query, SampleMode::WithoutReplacement);
+        let mut s = cluster.sampler(query, SampleMode::WithoutReplacement, seed);
         let drawn = s.draw(k, &mut rng).len();
         let secs = start.elapsed().as_secs_f64();
         drop(s);
@@ -695,11 +695,12 @@ pub fn run_scaling(n: usize, k: usize, seed: u64) -> Vec<Row> {
 /// RS-tree, per executor, batch size, and shard count.
 #[derive(Debug, Clone)]
 pub struct BatchPoint {
-    /// `"inline"` (the single-threaded in-process composite gather over
-    /// the same frozen shards — no executor, so also no per-draw
-    /// messaging cost), `"sequential"` (scatter-gather executor doing
-    /// one-at-a-time gather: one `Fill(1)` round-trip to a shard per draw, the
-    /// distributed paper setting's per-sample network hop), or
+    /// `"inline"` (the coordinator stepping the same frozen shards on the
+    /// caller's thread, one draw per call — no worker threads, so no
+    /// channel round-trip per fill), `"sequential"` (the same stream,
+    /// same seeds, through the threaded executor: a fill is a channel
+    /// round-trip to a worker, the distributed paper setting's network
+    /// hop), or
     /// `"parallel"` (batched scatter-gather: round-trips amortised over
     /// `batch` draws, shard work overlapping across workers).
     pub method: &'static str,
@@ -731,11 +732,12 @@ impl BatchPoint {
 /// Each configuration drains `min(q, 65536)` samples from a fresh stream
 /// over the *same* frozen shards, so rows are directly comparable.
 /// The acceptance comparison is `parallel` (batched) vs `sequential`
-/// (one `Fill(1)` round-trip per draw through the same executor) — the
-/// pair that isolates what batching buys a shard-gather protocol. The
-/// `inline` series is the in-process composite gather over the same
-/// frozen shards: it pays no messaging at all, so on a single-core host
-/// (no shard overlap possible) it bounds what any executor can reach.
+/// (one draw per call through the same executor) — the pair that
+/// isolates what batching buys a shard-gather protocol. The `inline`
+/// series drains the identical stream as `sequential` (same coordinator
+/// RNG seed, same session seed) with the shards stepped on the caller's
+/// thread, so the two differ only in transport: what the worker threads'
+/// channel round-trips cost, or on a many-core host buy.
 pub fn run_batch_throughput(
     n: usize,
     shard_counts: &[usize],
@@ -755,15 +757,13 @@ pub fn run_batch_throughput(
             RsTreeConfig::with_fanout(FANOUT),
         );
 
-        // Inline baseline: the in-process composite gather over the same
-        // frozen shards (no executor, no messaging), one draw per pass.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5E0);
+        // Inline: the coordinator steps the same shards on this thread,
+        // draining the stream the sequential row drains (same seeds).
+        let (rng_seed, session_seed) = (seed ^ 0xBA ^ 1, seed ^ 1);
+        let mut rng = StdRng::seed_from_u64(rng_seed);
         let start = Instant::now();
-        let mut s = cluster.sampler(query, SampleMode::WithoutReplacement);
-        let mut drawn = 0usize;
-        while drawn < total && s.next_sample(&mut rng).is_some() {
-            drawn += 1;
-        }
+        let mut s = cluster.sampler(query, SampleMode::WithoutReplacement, session_seed);
+        let drawn = drain_blocks(&mut s, &mut rng, 1, total);
         let secs = start.elapsed().as_secs_f64();
         drop(s);
         points.push(BatchPoint {
@@ -778,8 +778,8 @@ pub fn run_batch_throughput(
 
         // Executor runs over the same shards (a stream consumes no shard
         // state: a fresh sampler restarts the stream).
-        // First sequential one-at-a-time gather — a `Fill(1)` round-trip
-        // per draw — then the batched configurations.
+        // First sequential one-at-a-time gather, then the batched
+        // configurations.
         let parallel = cluster.into_parallel();
         // Untimed warm-up: on a small host each worker thread's start-up
         // cost would land on whichever timed series runs first. One tiny
@@ -797,16 +797,7 @@ pub fn run_batch_throughput(
                 let start = Instant::now();
                 let mut s =
                     parallel.sampler(query, SampleMode::WithoutReplacement, seed ^ batch as u64);
-                let mut buf: Vec<Item<2>> = Vec::with_capacity(batch);
-                let mut drawn = 0usize;
-                while drawn < total {
-                    buf.clear();
-                    let got = s.next_batch(&mut rng, &mut buf, batch.min(total - drawn));
-                    if got == 0 {
-                        break;
-                    }
-                    drawn += got;
-                }
+                let drawn = drain_blocks(&mut s, &mut rng, batch, total);
                 let secs = start.elapsed().as_secs_f64();
                 drop(s);
                 points.push(BatchPoint {
@@ -822,6 +813,27 @@ pub fn run_batch_throughput(
         }
     }
     points
+}
+
+/// Draws up to `total` samples from `s` in `next_batch` blocks of
+/// `batch`; returns how many it drew.
+fn drain_blocks(
+    s: &mut dyn SpatialSampler<2>,
+    rng: &mut StdRng,
+    batch: usize,
+    total: usize,
+) -> usize {
+    let mut buf: Vec<Item<2>> = Vec::with_capacity(batch);
+    let mut drawn = 0usize;
+    while drawn < total {
+        buf.clear();
+        let got = s.next_batch(rng, &mut buf, batch.min(total - drawn));
+        if got == 0 {
+            break;
+        }
+        drawn += got;
+    }
+    drawn
 }
 
 /// E14: the single-thread frozen-kernel microbenchmark. One shard, the
@@ -913,17 +925,33 @@ pub fn batch_rows(points: &[BatchPoint]) -> Vec<Row> {
         .collect()
 }
 
+/// Where a measurement was taken, as JSON fields: `"commit"` (the
+/// checkout's `git describe --always --dirty`) and `"cores"` (the host's
+/// available parallelism).
+pub fn run_stamp() -> String {
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned());
+    let cores = std::thread::available_parallelism().map_or(0, usize::from);
+    format!("\"commit\": \"{commit}\", \"cores\": {cores}")
+}
+
 /// Serialises batch points as the machine-readable `BENCH_results.json`
-/// payload. Hand-rolled writer — the workspace vendors no serde — with a
-/// stable field order so downstream diffs stay readable.
-pub fn batch_json(points: &[BatchPoint]) -> String {
+/// payload, each entry carrying `stamp` (see [`run_stamp`]). Hand-rolled
+/// writer — the workspace vendors no serde — with a stable field order so
+/// downstream diffs stay readable.
+pub fn batch_json(points: &[BatchPoint], stamp: &str) -> String {
     use std::fmt::Write;
     let mut out = String::from("[\n");
     for (i, p) in points.iter().enumerate() {
         let _ = write!(
             out,
             "  {{\"method\": \"{}\", \"n\": {}, \"q\": {}, \"batch\": {}, \"shards\": {}, \
-             \"samples\": {}, \"samples_per_sec\": {:.1}, \"wall_time_s\": {:.6}}}",
+             \"samples\": {}, \"samples_per_sec\": {:.1}, \"wall_time_s\": {:.6}, {stamp}}}",
             p.method,
             p.n,
             p.q,
@@ -1671,7 +1699,7 @@ mod tests {
             );
             assert!(p.samples_per_sec() > 0.0);
         }
-        let json = batch_json(&points);
+        let json = batch_json(&points, &run_stamp());
         assert_eq!(json.matches("\"method\"").count(), 8);
         for field in [
             "\"n\":",
@@ -1681,6 +1709,8 @@ mod tests {
             "\"samples\":",
             "\"samples_per_sec\":",
             "\"wall_time_s\":",
+            "\"commit\":",
+            "\"cores\":",
         ] {
             assert_eq!(json.matches(field).count(), 8, "missing {field}");
         }

@@ -16,11 +16,12 @@
 //!   remaining count and pulling the next sample from that shard's local
 //!   stream. Because shards partition the data, the merged
 //!   without-replacement stream is a uniform WOR stream of the global
-//!   result — no cross-shard deduplication is needed. In process the
-//!   gather is the ingest tier's [`CompositeSampler`] (the shards are an
-//!   epoch's runs, the delta is empty); threaded, it is the
-//!   [`ParallelRsCluster`](crate::ParallelRsCluster) coordinator
-//!   ([`DistributedRsTree::into_parallel`]).
+//!   result — no cross-shard deduplication is needed. There is one
+//!   gather, the [`crate::Coordinator`]: in process
+//!   ([`DistributedRsTree::sampler`]) it steps the shards on the caller's
+//!   thread; threaded ([`DistributedRsTree::into_parallel`]) each shard is
+//!   served by its own worker. Under the same seeds both emit the same
+//!   stream, id for id.
 //!
 //! Shards are immutable: a caller with new data partitions it again and
 //! hands the new shards to
@@ -36,9 +37,8 @@ use storm_geo::curve::{HilbertCurve, SpaceFillingCurve};
 use storm_geo::{Point2, Rect2};
 use storm_rtree::{IoStats, Item};
 
-use crate::ingest::{CompositeSampler, DeltaBuffer, EpochState};
 use crate::rs_tree::RsTreeConfig;
-use crate::{FrozenRsTree, SampleMode};
+use crate::{Coordinator, FrozenRsTree, ParallelSampler, SampleMode};
 
 /// A simulated cluster: Hilbert-range-partitioned frozen shards.
 #[derive(Debug)]
@@ -155,14 +155,12 @@ impl DistributedRsTree {
         crate::ParallelRsCluster::from_frozen(self.shards)
     }
 
-    /// Opens an in-process scatter/gather stream for `query`: the shards
-    /// are the runs of an epoch with an empty delta.
-    pub fn sampler(&self, query: Rect2, mode: SampleMode) -> CompositeSampler<2> {
-        let state = EpochState {
-            runs: self.shards(),
-            delta: Arc::new(DeltaBuffer::default()),
-        };
-        CompositeSampler::open(0, Arc::new(state), query, mode)
+    /// Opens an in-process scatter/gather stream for `query`: the
+    /// coordinator steps every shard on the caller's thread. Under the
+    /// same `seed` and coordinator RNG it emits exactly what
+    /// `into_parallel().sampler(query, mode, seed)` emits.
+    pub fn sampler(&self, query: Rect2, mode: SampleMode, seed: u64) -> ParallelSampler<'_> {
+        ParallelSampler::open(Coordinator::local(self.shards()), 0, query, mode, seed)
     }
 }
 
@@ -245,7 +243,7 @@ mod tests {
             let got: HashSet<u64> = s.draw(100, &mut rng).iter().map(|it| it.id).collect();
             assert_eq!(got, (0..9).collect::<HashSet<u64>>());
         };
-        drain(&mut c.sampler(everything, SampleMode::WithoutReplacement));
+        drain(&mut c.sampler(everything, SampleMode::WithoutReplacement, 2));
         let p = cluster(9, 4).into_parallel();
         assert_eq!(p.num_shards(), 4);
         drain(&mut p.sampler(everything, SampleMode::WithoutReplacement, 3));
@@ -286,7 +284,7 @@ mod tests {
             .map(|it| it.id)
             .collect();
         assert_eq!(c.exact_count(&q), expected.len());
-        let mut s = c.sampler(q, SampleMode::WithoutReplacement);
+        let mut s = c.sampler(q, SampleMode::WithoutReplacement, 1);
         assert_eq!(s.result_size(), Some(expected.len()));
         let mut rng = StdRng::seed_from_u64(1);
         let mut got = HashSet::new();
@@ -305,10 +303,12 @@ mod tests {
         let trials = 30_000;
         let mut rng = StdRng::seed_from_u64(2);
         let mut counts = std::collections::HashMap::new();
-        // A stream consumes no shard state, so one build serves every trial.
+        // A stream consumes no shard state, so one build serves every
+        // trial; each trial gets its own session seed, or every trial
+        // would replay the same shard streams.
         let c = DistributedRsTree::bulk_load(items, 6, RsTreeConfig::with_fanout(8));
-        for _ in 0..trials {
-            let mut s = c.sampler(q, SampleMode::WithoutReplacement);
+        for t in 0..trials {
+            let mut s = c.sampler(q, SampleMode::WithoutReplacement, t);
             let first = s.next_sample(&mut rng).unwrap();
             *counts.entry(first.id).or_insert(0usize) += 1;
         }
@@ -337,7 +337,7 @@ mod tests {
             let c =
                 DistributedRsTree::bulk_load(items.clone(), shards, RsTreeConfig::with_fanout(16));
             c.reset_io();
-            let mut s = c.sampler(q, SampleMode::WithoutReplacement);
+            let mut s = c.sampler(q, SampleMode::WithoutReplacement, 3);
             s.draw(2_000, &mut rng);
             drop(s);
             max_reads.push(c.max_shard_reads());
@@ -354,7 +354,7 @@ mod tests {
         let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(20.0, 5.0));
         let expected = c.exact_count(&q);
         let mut rng = StdRng::seed_from_u64(5);
-        let mut s = c.sampler(q, SampleMode::WithoutReplacement);
+        let mut s = c.sampler(q, SampleMode::WithoutReplacement, 5);
         assert_eq!(s.draw(10_000, &mut rng).len(), expected);
     }
 
@@ -363,7 +363,7 @@ mod tests {
         let c = cluster(1_000, 3);
         let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(50.0, 9.0));
         let mut rng = StdRng::seed_from_u64(6);
-        let mut s = c.sampler(q, SampleMode::WithReplacement);
+        let mut s = c.sampler(q, SampleMode::WithReplacement, 6);
         for _ in 0..3_000 {
             let item = s.next_sample(&mut rng).unwrap();
             assert!(q.contains_point(&item.point));
@@ -375,7 +375,7 @@ mod tests {
         let c = cluster(500, 4);
         let q = Rect2::from_corners(Point2::xy(900.0, 900.0), Point2::xy(901.0, 901.0));
         let mut rng = StdRng::seed_from_u64(7);
-        let mut s = c.sampler(q, SampleMode::WithoutReplacement);
+        let mut s = c.sampler(q, SampleMode::WithoutReplacement, 7);
         assert!(s.next_sample(&mut rng).is_none());
         assert_eq!(s.result_size(), Some(0));
     }

@@ -422,12 +422,7 @@ pub struct CompositeSampler<const D: usize> {
 }
 
 impl<const D: usize> CompositeSampler<D> {
-    pub(crate) fn open(
-        epoch: u64,
-        state: Arc<EpochState<D>>,
-        query: Rect<D>,
-        mode: SampleMode,
-    ) -> Self {
+    fn open(epoch: u64, state: Arc<EpochState<D>>, query: Rect<D>, mode: SampleMode) -> Self {
         let runs: Vec<RunStream<D>> = state
             .runs
             .iter()

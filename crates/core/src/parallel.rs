@@ -1,11 +1,14 @@
 //! Parallel shard scatter-gather execution for the distributed RS-tree.
 //!
-//! [`crate::DistributedRsTree`] partitions the data into frozen shards and
-//! gathers them in process through [`crate::CompositeSampler`]; this
-//! module is the threaded executor over the same shards: every shard is an
-//! immutable frozen snapshot (`Arc<FrozenRsTree<2>>`) served by its own
-//! long-lived worker thread, queries are scattered as messages, and sample
-//! batches are gathered over channels. The frozen snapshot is the only
+//! [`crate::DistributedRsTree`] partitions the data into frozen shards;
+//! this module is the one gather over them. Every shard is an immutable
+//! frozen snapshot (`Arc<FrozenRsTree<2>>`) held by a shard server, queries
+//! are scattered as commands, and sample batches are gathered over one
+//! reply channel. A [`ParallelRsCluster`] runs each server on its own
+//! long-lived worker thread and sends it commands down a channel; the
+//! partition's own [`sampler`](crate::DistributedRsTree::sampler) steps
+//! the same servers on the caller's thread. Both are driven by the same
+//! [`Coordinator`], so under the same seeds they emit the same stream. The frozen snapshot is the only
 //! shard currency here — what a cluster is built from
 //! ([`ParallelRsCluster::from_frozen`]), what a worker holds, and what an
 //! epoch install swaps in — so a partition's shards, an
@@ -24,10 +27,11 @@
 //!
 //! | command (`ShardCmd`)    | carries                            | reply (`ShardReply`)                 |
 //! |-------------------------|------------------------------------|--------------------------------------|
-//! | `OpenMany`              | `OpenReq`s + hook, reply sender    | `Opens`: one `SessionOpen` count each |
+//! | `OpenMany`              | `OpenReq`s, the reply sender       | `Opens`: one `SessionOpen` count each |
 //! | `FillMany`              | `FillReq`s `{session, n, seq}`     | `Batches`: one `SessionBatch` each    |
 //! | `CloseMany`             | session ids                        | —                                    |
 //! | `Swap`                  | the next frozen snapshot (`Arc`)   | —                                    |
+//! | `Faults`                | the fault hook, the recover flag   | —                                    |
 //! | `Shutdown`              | nothing; the worker exits          | —                                    |
 //!
 //! Every stream carries a cluster-unique **session** id (allocated from an
@@ -55,9 +59,8 @@
 //!    sequence, *not* arrival order.
 //!
 //! Phases 1 and 3 — plus the prefetch request arithmetic — live in the
-//! sans-I/O `StreamCore` state machine inside each [`SessionStream`].
-//! Phase 2 and everything else that touches a worker live in the one
-//! [`Coordinator`]: it opens a batch of sessions (one `OpenMany` per
+//! sans-I/O state machine of each [`SessionStream`]. Phase 2 and
+//! everything else that touches a shard live in the one [`Coordinator`]: it opens a batch of sessions (one `OpenMany` per
 //! shard), queues every session's planned requests for a round and sends
 //! one coalesced `FillMany` per shard, gathers over its one reply channel,
 //! applies each session's settled round in ascending shard order, and
@@ -67,10 +70,17 @@
 //! amortizes channel and wakeup overhead across co-tenant queries:
 //! per-session channel cost is O(1) amortized rather than O(shards).
 //!
+//! The coordinator reaches its shards through one of two transports: a
+//! cluster's worker channels, or a vector of shard servers it serves
+//! itself, putting each reply on its own channel before the send returns
+//! (so an in-thread gather never waits). Open, fill round, gather, route,
+//! re-send and write-off are one code path for both.
+//!
 //! The module is split along those seams: `protocol` (message types),
-//! `worker` (the shard loop and stream table), `cluster` (the handle and
-//! its per-shard senders), `stream_core` (the round state machine),
-//! `coordinator` (the one gather) and `sampler` (its session of one).
+//! `worker` (the shard server and its stream table), `cluster` (the
+//! worker threads and their senders), `stream` (the session's round
+//! state machine), `coordinator` (the one gather and its transports) and
+//! `sampler` (its session of one).
 //!
 //! ## Why the distribution is unchanged
 //!
@@ -88,7 +98,7 @@
 //! scheduling. Only I/O-counter interleavings vary. Crucially this holds
 //! *per session* under co-tenancy: a worker's per-stream state is keyed by
 //! session, request sizes are a pure function of session-local
-//! `StreamCore` state, and the worker's batched WOR kernel sees exactly
+//! [`SessionStream`] state, and the worker's batched WOR kernel sees exactly
 //! the same fill-size sequence whether the stream runs alone or
 //! interleaved with a thousand others — so a session's emitted sequence
 //! depends only on its own seed, never on co-tenant scheduling.
@@ -132,6 +142,14 @@
 //! panics, and delays replays identically run over run — the fault-matrix
 //! suite exercises exactly that.
 //!
+//! The fault setting belongs to the worker, not the stream: a change
+//! ([`ParallelRsCluster::set_fault_hook`], `clear_fault_hook`,
+//! `set_retry_policy`) sends every worker one `Faults` command. Those
+//! setters take `&mut self`, so no coordinator — and no stream it could
+//! still fill — lives across a change. A coordinator reads the recovery
+//! policy once, when it is built; an in-thread gather runs with no hook
+//! and recovery off.
+//!
 //! ## Atomic-counter ordering policy
 //!
 //! Every statistics counter in this module (`dropped_sends`, the session
@@ -147,10 +165,11 @@ mod cluster;
 mod coordinator;
 mod protocol;
 mod sampler;
-mod stream_core;
+mod stream;
 mod tests;
 mod worker;
 
 pub use cluster::{EpochError, ParallelRsCluster};
-pub use coordinator::{Coordinator, SessionStream};
+pub use coordinator::Coordinator;
 pub use sampler::ParallelSampler;
+pub use stream::SessionStream;

@@ -9,9 +9,10 @@ use crossbeam::channel::{unbounded, Sender};
 use storm_faultkit::{FaultHook, RetryPolicy};
 use storm_geo::Rect2;
 
-use super::protocol::{FillReq, OpenManyArgs, OpenReq, ShardCmd, ShardReply};
+use super::coordinator::Coordinator;
+use super::protocol::ShardCmd;
 use super::sampler::ParallelSampler;
-use super::worker::run_shard;
+use super::worker::ShardServer;
 use crate::{FrozenRsTree, SampleMode};
 
 /// Typed refusal from [`ParallelRsCluster::install_epoch`]: the offered
@@ -54,25 +55,29 @@ pub(super) struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// Sends one control message, logging and counting (rather than
-    /// swallowing) a send that finds the worker gone. Returns whether the
-    /// message was delivered.
-    fn send(&self, cmd: ShardCmd, what: &str) -> bool {
+    /// Sends one command, logging and counting (rather than swallowing) a
+    /// send that finds the worker gone. Returns whether it was delivered.
+    fn send(&self, cmd: ShardCmd) -> bool {
         let delivered = self.cmd.send(cmd).is_ok();
         if !delivered {
             self.dropped_sends.fetch_add(1, Ordering::Relaxed);
             eprintln!(
-                "storm-core: parallel: {what} to shard {} dropped (worker gone)",
+                "storm-core: parallel: a command to shard {} was dropped (worker gone)",
                 self.shard
             );
         }
         delivered
     }
+
+    /// Hands the worker the cluster's fault setting.
+    fn set_faults(&self, hook: Option<Arc<dyn FaultHook>>, recover: bool) {
+        self.send(ShardCmd::Faults(hook, recover));
+    }
 }
 
 impl Drop for WorkerHandle {
     fn drop(&mut self) {
-        self.send(ShardCmd::Shutdown, "shutdown");
+        self.send(ShardCmd::Shutdown);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -95,12 +100,14 @@ impl std::fmt::Debug for WorkerHandle {
 /// shards, and an [`crate::IngestIndex`] run is already the shard type.
 /// The cluster serves reads only: a caller with new data partitions it
 /// again (or keeps an ingest index) and hands each new frozen epoch to
-/// [`ParallelRsCluster::install_epoch`]. Streams opened by
-/// [`ParallelRsCluster::sampler`] produce the same distribution as the
-/// in-process gather ([`crate::DistributedRsTree::sampler`]), and are deterministic under a fixed seed (see the
-/// module docs). Any number of streams may be open concurrently —
-/// `sampler` takes `&self`, per-query state lives in the
-/// [`ParallelSampler`], and the workers multiplex their session tables.
+/// [`ParallelRsCluster::install_epoch`]. A stream opened by
+/// [`ParallelRsCluster::sampler`] is, id for id, the stream the in-process
+/// gather ([`crate::DistributedRsTree::sampler`]) emits over the same
+/// shards and seeds — the one coordinator drives both — and is
+/// deterministic under a fixed seed (see the module docs). Any number of
+/// streams may be open concurrently — `sampler` takes `&self`, per-query
+/// state lives in the [`ParallelSampler`], and the workers multiplex their
+/// session tables.
 ///
 /// By default the cluster runs the zero-overhead fail-soft path. Installing
 /// a [`FaultHook`] ([`ParallelRsCluster::set_fault_hook`]) or a
@@ -117,7 +124,7 @@ impl std::fmt::Debug for WorkerHandle {
 #[derive(Debug)]
 pub struct ParallelRsCluster {
     pub(super) workers: Vec<WorkerHandle>,
-    /// Fault-injection hook handed to workers per stream.
+    /// Fault-injection hook the workers run under.
     fault_hook: Option<Arc<dyn FaultHook>>,
     /// Explicit retry policy; `None` means recovery is off unless a hook
     /// is installed (in which case the default policy applies).
@@ -142,7 +149,7 @@ impl ParallelRsCluster {
             .map(|(s, frozen)| {
                 let (cmd_tx, cmd_rx) = unbounded();
                 let len = frozen.len();
-                let thread = std::thread::spawn(move || run_shard(frozen, s, &cmd_rx));
+                let thread = std::thread::spawn(move || ShardServer::new(frozen, s).run(&cmd_rx));
                 WorkerHandle {
                     cmd: cmd_tx,
                     thread: Some(thread),
@@ -185,7 +192,7 @@ impl ParallelRsCluster {
         for (w, frozen) in self.workers.iter().zip(shards) {
             w.len.store(frozen.len(), Ordering::Relaxed);
             // storm-analyzer: allow(A5): a scatter, not per-item traffic — one Swap per worker per install, each on that worker's own channel with that worker's own snapshot
-            w.send(ShardCmd::Swap(frozen), "epoch swap");
+            w.send(ShardCmd::Swap(frozen));
         }
         Ok(self.epoch.fetch_add(1, Ordering::Relaxed) + 1)
     }
@@ -214,21 +221,34 @@ impl ParallelRsCluster {
         self.len() == 0
     }
 
-    /// Installs a fault-injection hook: every subsequent stream hands it
-    /// to the workers, and gathers switch to the timeout/retry path.
+    /// Installs a fault-injection hook: every worker runs later opens and
+    /// fills under it, and gathers switch to the timeout/retry path.
     pub fn set_fault_hook(&mut self, hook: Arc<dyn FaultHook>) {
         self.fault_hook = Some(hook);
+        self.send_faults();
     }
 
     /// Removes the fault hook (recovery stays on if a retry policy is set).
     pub fn clear_fault_hook(&mut self) {
         self.fault_hook = None;
+        self.send_faults();
     }
 
     /// Sets the timeout/retry policy and activates the recovery gather
     /// path even without a fault hook (for production fail-soft serving).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = Some(policy);
+        self.send_faults();
+    }
+
+    /// Hands every worker the current fault setting. The setters take
+    /// `&mut self`, so no coordinator — and no stream it could still
+    /// fill — lives across a change.
+    fn send_faults(&self) {
+        let recover = self.recovery().is_some();
+        for w in &self.workers {
+            w.set_faults(self.fault_hook.clone(), recover);
+        }
     }
 
     /// The retry policy gathers run under, or `None` when recovery is off
@@ -249,42 +269,10 @@ impl ParallelRsCluster {
         self.next_session.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Sends one [`ShardCmd::OpenMany`] carrying `reqs` to `shard`, whose
-    /// [`ShardReply::Opens`] answer arrives on `reply`. Returns `false`
-    /// (and counts a dropped send) when the worker is gone.
-    pub(super) fn open_shard(
-        &self,
-        shard: usize,
-        reqs: &Arc<[OpenReq]>,
-        reply: &Sender<ShardReply>,
-    ) -> bool {
-        let args = OpenManyArgs {
-            reqs: Arc::clone(reqs),
-            hook: self.fault_hook.clone(),
-            recover: self.recovery().is_some(),
-            reply: reply.clone(),
-        };
-        self.workers[shard].send(ShardCmd::OpenMany(Box::new(args)), "open-many")
-    }
-
-    /// Sends one [`ShardCmd::FillMany`] to `shard`. Every named
-    /// session must have been opened on this cluster with the *same* reply
-    /// channel (the worker answers all of them in one
-    /// [`ShardReply::Batches`] on the first named stream's channel).
-    /// Returns `false` (and counts a dropped send) when the worker is gone.
-    pub(super) fn fill_many(&self, shard: usize, reqs: Vec<FillReq>) -> bool {
-        self.workers[shard].send(ShardCmd::FillMany(reqs), "fill-many")
-    }
-
-    /// Tears down every named session's stream on every shard with one
-    /// [`ShardCmd::CloseMany`] per shard (no replies); an unreachable
-    /// worker is counted in [`ParallelRsCluster::dropped_sends`].
-    pub(super) fn close_many(&self, sessions: &[u64]) {
-        let sessions: Arc<[u64]> = sessions.into();
-        for w in &self.workers {
-            // storm-analyzer: allow(A5): one CloseMany control message per shard carries every finished session since the last flush
-            w.send(ShardCmd::CloseMany(Arc::clone(&sessions)), "close-many");
-        }
+    /// Sends one command to `shard`'s worker. Returns `false` (and counts
+    /// a dropped send) when the worker is gone.
+    pub(super) fn send(&self, shard: usize, cmd: ShardCmd) -> bool {
+        self.workers.get(shard).is_some_and(|w| w.send(cmd))
     }
 
     /// Opens a parallel scatter-gather stream for `query`.
@@ -296,6 +284,12 @@ impl ParallelRsCluster {
     /// per-query state lives entirely in the returned sampler, whose
     /// replies travel over its own coordinator's channel.
     pub fn sampler(&self, query: Rect2, mode: SampleMode, seed: u64) -> ParallelSampler<'_> {
-        ParallelSampler::open(self, query, mode, seed)
+        ParallelSampler::open(
+            Coordinator::new(self),
+            self.allocate_session(),
+            query,
+            mode,
+            seed,
+        )
     }
 }

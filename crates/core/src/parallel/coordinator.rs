@@ -1,21 +1,22 @@
 //! The one coordinator: every open, fill round and close a caller makes
-//! against the shard workers, gathered over one reply channel under the
-//! cluster's one fault policy.
+//! against the shards, gathered over one reply channel under one fault
+//! policy — whether the shards are served by worker threads or stepped
+//! on the caller's thread.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rand::Rng;
-use storm_faultkit::{DegradedInfo, FailReason};
+use storm_faultkit::{FailReason, RetryPolicy};
 use storm_geo::Rect2;
 use storm_rtree::Item;
 
 use super::cluster::ParallelRsCluster;
-use super::protocol::{FillReq, OpenReq, ShardReply};
-use super::stream_core::StreamCore;
-use crate::SampleMode;
+use super::protocol::{FillReq, OpenReq, ShardCmd, ShardReply};
+use super::stream::SessionStream;
+use super::worker::ShardServer;
+use crate::{FrozenRsTree, SampleMode};
 
 /// Safety valve on a gather with recovery off: a shard that answers
 /// nothing for this long is written off and never asked to fill again.
@@ -47,72 +48,51 @@ pub(super) struct Expect {
     pub(super) answer: Option<Answer>,
 }
 
-/// One session's stream as a [`Coordinator`] drives it: the round state
-/// machine plus the session's protocol identity. Callers see only the
-/// sampling side — draw, merge, counts, degradation; every exchange with
-/// a worker goes through the coordinator that opened the stream.
+/// How a [`Coordinator`] reaches its shards.
 #[derive(Debug)]
-pub struct SessionStream {
-    pub(super) core: StreamCore,
-    pub(super) session: u64,
-    /// The current round's per-shard request sizes (0 = not asked).
-    pub(super) plan: Vec<usize>,
+enum Transport<'a> {
+    /// Down each worker thread's command channel.
+    Workers(&'a ParallelRsCluster),
+    /// Served on the caller's thread; replies land on the coordinator's
+    /// own reply channel before the send returns.
+    Local(Vec<ShardServer>),
 }
 
-impl SessionStream {
-    /// Phase 1: draws up to `want` shard indices for the next round;
-    /// 0 means the stream is exhausted and no round should run.
-    pub fn draw(&mut self, rng: &mut dyn Rng, want: usize) -> usize {
-        self.core.draw(rng, want)
-    }
-
-    /// Caps prefetch by the draws the stream still owes its caller after
-    /// this round (see the module docs' determinism contract).
-    pub fn set_fetch_hint(&mut self, remaining: u64) {
-        self.core.set_fetch_hint(remaining);
-    }
-
-    /// Phase 3: merges the round into `buf` in drawn order; returns how
-    /// many items it merged.
-    pub fn merge_into(&mut self, buf: &mut Vec<Item<2>>) -> usize {
-        self.core.merge_into(buf)
-    }
-
-    /// The exact result count gathered at open (`|P ∩ Q|`).
-    pub fn result_count(&self) -> usize {
-        self.core.result_count()
-    }
-
-    /// The stream's degraded-mode report, once any shard has been written
-    /// off (cloned only then).
-    pub fn degraded(&self) -> Option<DegradedInfo> {
-        self.core.is_degraded().then(|| self.core.degraded_info())
-    }
-
-    /// The fraction of the declared result mass lost to written-off
-    /// shards.
-    pub fn missing_fraction(&self) -> f64 {
-        self.core.missing_fraction()
+impl Transport<'_> {
+    /// Delivers `cmd` to `shard`. Returns `false` when the worker is gone.
+    fn send(&mut self, shard: usize, cmd: ShardCmd) -> bool {
+        match self {
+            Transport::Workers(cluster) => cluster.send(shard, cmd),
+            Transport::Local(servers) => servers.get_mut(shard).is_some_and(|s| s.serve(cmd)),
+        }
     }
 }
 
-/// The coordinator of any number of sessions over one cluster: it opens
-/// them, runs their fill rounds and closes them, over one reply channel.
+/// The coordinator of any number of sessions over one set of shards: it
+/// opens them, runs their fill rounds and closes them, over one reply
+/// channel. The shards are a cluster's workers ([`Coordinator::new`]) or,
+/// for [`crate::DistributedRsTree::sampler`], servers stepped on the
+/// caller's thread; either way every command and reply takes the same
+/// path through this type.
 ///
 /// Replies are routed by their `(session, shard, seq)` tags against the
 /// requests this coordinator still expects; anything else — a duplicate,
 /// a stale reply from before a re-send, a reply for a closed session — is
-/// dropped. The cluster's recovery setting is the one fault policy: with
-/// recovery off a gather makes one attempt bounded by a 5 s safety valve;
-/// with it on, unanswered requests are re-sent unchanged on each timeout
-/// of the [`RetryPolicy`](storm_faultkit::RetryPolicy) backoff. A shard
-/// whose channel is gone, or that stays silent through every attempt, is
-/// dead for the rest of this coordinator's life: later opens still ask it
-/// for its count, so each session declares the shard's mass, and every
-/// fill planned on it is written off with that mass (the interval widens).
+/// dropped. The cluster's recovery setting, read once when the coordinator
+/// is built, is the one fault policy (in-thread shards run with recovery
+/// off): with recovery off a gather makes one attempt bounded by a 5 s
+/// safety valve; with it on, unanswered requests are re-sent unchanged on
+/// each timeout of the [`RetryPolicy`](storm_faultkit::RetryPolicy)
+/// backoff. A shard whose channel is gone, or that stays silent through
+/// every attempt, is dead for the rest of this coordinator's life: later
+/// opens still ask it for its count, so each session declares the shard's
+/// mass, and every fill planned on it is written off with that mass (the
+/// interval widens).
 #[derive(Debug)]
 pub struct Coordinator<'a> {
-    cluster: &'a ParallelRsCluster,
+    shards: Transport<'a>,
+    /// The retry policy gathers run under; `None` = recovery off.
+    recovery: Option<RetryPolicy>,
     reply_tx: Sender<ShardReply>,
     reply_rx: Receiver<ShardReply>,
     pub(super) dead: Vec<bool>,
@@ -130,12 +110,25 @@ pub struct Coordinator<'a> {
 }
 
 impl<'a> Coordinator<'a> {
-    /// A coordinator over `cluster` with its own reply channel.
+    /// A coordinator over `cluster`'s workers with its own reply channel.
     pub fn new(cluster: &'a ParallelRsCluster) -> Self {
-        let (reply_tx, reply_rx) = unbounded();
         let n = cluster.num_shards();
+        Self::over(Transport::Workers(cluster), n, cluster.recovery())
+    }
+
+    /// A coordinator that serves `shards` itself, on the caller's thread.
+    pub(crate) fn local(shards: Vec<Arc<FrozenRsTree<2>>>) -> Self {
+        let n = shards.len();
+        let servers = shards.into_iter().enumerate();
+        let servers = servers.map(|(s, frozen)| ShardServer::new(frozen, s));
+        Self::over(Transport::Local(servers.collect()), n, None)
+    }
+
+    fn over(shards: Transport<'a>, n: usize, recovery: Option<RetryPolicy>) -> Self {
+        let (reply_tx, reply_rx) = unbounded();
         Coordinator {
-            cluster,
+            shards,
+            recovery,
             reply_tx,
             reply_rx,
             dead: vec![false; n],
@@ -145,11 +138,6 @@ impl<'a> Coordinator<'a> {
             opens: vec![Vec::new(); n],
             seq: 0,
         }
-    }
-
-    /// The cluster this coordinator drives.
-    pub fn cluster(&self) -> &'a ParallelRsCluster {
-        self.cluster
     }
 
     /// Opens a batch of `(session, query, mode, seed)` sessions: one
@@ -173,7 +161,7 @@ impl<'a> Coordinator<'a> {
             // A dead shard is still asked: if it answers, every session
             // declares its share, and its fills are written off with that
             // mass (see `queue_fill`).
-            let sent = self.cluster.open_shard(s, &reqs, &self.reply_tx);
+            let sent = self.send_open(s, &reqs);
             self.dead[s] |= !sent;
             let failed = (!sent).then_some(FailReason::Disconnected);
             for r in reqs.iter() {
@@ -201,11 +189,7 @@ impl<'a> Coordinator<'a> {
             weights.push(0);
             failures.push((s, reason));
         }
-        SessionStream {
-            core: StreamCore::new(req.mode, weights, failures),
-            session: req.session,
-            plan: vec![0; n],
-        }
+        SessionStream::new(req.session, req.mode, weights, failures)
     }
 
     /// Plans `stream`'s drawn round and queues a fill for every shard it
@@ -213,7 +197,7 @@ impl<'a> Coordinator<'a> {
     /// written off by the next [`Coordinator::fill_round`]; 0 means the
     /// banked surplus covers the round and it can merge at once.
     pub fn queue_fill(&mut self, stream: &mut SessionStream) -> usize {
-        stream.core.plan_requests(&mut stream.plan);
+        stream.plan_requests();
         let (session, seq) = (stream.session, self.seq);
         let mut asked = 0;
         for (s, &n) in stream.plan.iter().enumerate().filter(|&(_, &n)| n > 0) {
@@ -242,14 +226,17 @@ impl<'a> Coordinator<'a> {
     /// Returns whether any shard delivered.
     pub fn apply_round(&mut self, stream: &mut SessionStream) -> bool {
         let mut delivered = false;
-        for (s, _) in stream.plan.iter().enumerate().filter(|&(_, &n)| n > 0) {
+        for s in 0..stream.plan.len() {
+            if stream.plan[s] == 0 {
+                continue;
+            }
             let answer = self.expect.remove(&(stream.session, s));
             match answer.and_then(|e| e.answer) {
                 Some(Answer::Items(items)) => {
-                    stream.core.deliver(s, items);
+                    stream.deliver(s, items);
                     delivered = true;
                 }
-                Some(Answer::Failed(reason)) => stream.core.fail(s, reason),
+                Some(Answer::Failed(reason)) => stream.fail(s, reason),
                 _ => {}
             }
         }
@@ -269,7 +256,30 @@ impl<'a> Coordinator<'a> {
             *waiting -= usize::from(closed && e.answer.is_none());
             !closed
         });
-        self.cluster.close_many(sessions);
+        let sessions: Arc<[u64]> = sessions.into();
+        for s in 0..self.dead.len() {
+            self.send_close(s, &sessions);
+        }
+    }
+
+    /// Sends `shard` one `OpenMany` for `reqs`, answered on this
+    /// coordinator's reply channel.
+    fn send_open(&mut self, shard: usize, reqs: &Arc<[OpenReq]>) -> bool {
+        let reply = self.reply_tx.clone();
+        self.shards
+            .send(shard, ShardCmd::OpenMany(Arc::clone(reqs), reply))
+    }
+
+    /// Sends `shard` its queued fills as one coalesced `FillMany`.
+    fn send_fill(&mut self, shard: usize) -> bool {
+        let reqs = std::mem::take(&mut self.fills[shard]);
+        self.shards.send(shard, ShardCmd::FillMany(reqs))
+    }
+
+    /// Sends `shard` one `CloseMany` (no reply).
+    fn send_close(&mut self, shard: usize, sessions: &Arc<[u64]>) {
+        self.shards
+            .send(shard, ShardCmd::CloseMany(Arc::clone(sessions)));
     }
 
     /// Records one `(session, shard)` request of the batch or round in
@@ -291,12 +301,10 @@ impl<'a> Coordinator<'a> {
             let mut sent = true;
             if !self.opens[s].is_empty() {
                 let reqs: Arc<[OpenReq]> = std::mem::take(&mut self.opens[s]).into();
-                sent &= self.cluster.open_shard(s, &reqs, &self.reply_tx);
+                sent &= self.send_open(s, &reqs);
             }
             if !self.fills[s].is_empty() {
-                sent &= self
-                    .cluster
-                    .fill_many(s, std::mem::take(&mut self.fills[s]));
+                sent &= self.send_fill(s);
             }
             if !sent {
                 self.dead[s] = true;
@@ -312,7 +320,7 @@ impl<'a> Coordinator<'a> {
 
     /// Waits until every expected request is answered or written off.
     fn gather(&mut self) {
-        let policy = self.cluster.recovery();
+        let policy = self.recovery;
         let attempts = policy.map_or(1, |p| p.attempts());
         let mut timeouts = 0;
         while self.waiting > 0 {

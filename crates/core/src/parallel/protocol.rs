@@ -10,25 +10,6 @@ use storm_rtree::Item;
 
 use crate::{FrozenRsTree, SampleMode};
 
-/// Everything a worker needs to serve one [`ShardCmd::OpenMany`]: the
-/// per-session requests plus the batch-shared plumbing — one hook, one
-/// recover flag, one reply channel.
-pub(super) struct OpenManyArgs {
-    /// One request per opening session, in admission order. Workers
-    /// derive their own stream seeds, so the list is the same for every
-    /// shard and one allocation is shared by the whole scatter.
-    pub(super) reqs: Arc<[OpenReq]>,
-    /// Fault-injection hook shared by the whole batch (test/chaos runs
-    /// only).
-    pub(super) hook: Option<Arc<dyn FaultHook>>,
-    /// Whether the coordinator may retry fills: enables the worker-side
-    /// batch replay cache (skipped entirely on the fast path).
-    pub(super) recover: bool,
-    /// The one channel every stream in the batch replies on: the opening
-    /// coordinator's, which routes by the echoed tags.
-    pub(super) reply: Sender<ShardReply>,
-}
-
 /// One session's slice of a coalesced [`ShardCmd::FillMany`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct FillReq {
@@ -86,9 +67,11 @@ pub(super) enum ShardCmd {
     /// Open every named session's stream on this shard, answered by one
     /// [`ShardReply::Opens`] carrying every count. Re-opening a session
     /// restarts its stream (identical seed → identical stream), which is
-    /// how open-phase retries work. All named sessions share the one reply
-    /// channel in the args.
-    OpenMany(Box<OpenManyArgs>),
+    /// how open-phase retries work. Workers derive their own stream seeds,
+    /// so one request list is shared by the whole scatter; every named
+    /// stream replies on the one channel sent along — the opening
+    /// coordinator's, which routes by the echoed tags.
+    OpenMany(Arc<[OpenReq]>, Sender<ShardReply>),
     /// Draw for every named session, answered by one
     /// [`ShardReply::Batches`] on the first named stream's channel (all
     /// sessions in one `FillMany` must share a reply channel). A repeated
@@ -103,6 +86,10 @@ pub(super) enum ShardCmd {
     /// in-flight streams keep the snapshot `Arc` they pinned at open, so
     /// no open session ever observes the switch.
     Swap(Arc<FrozenRsTree<2>>),
+    /// The cluster's fault setting (no reply): the injection hook, and
+    /// whether coordinators may retry fills (which turns on the replay
+    /// cache). Applies to every later open and fill on this shard.
+    Faults(Option<Arc<dyn FaultHook>>, bool),
     /// Exit the worker loop.
     Shutdown,
 }

@@ -5,8 +5,8 @@ use storm_faultkit::DegradedInfo;
 use storm_geo::Rect2;
 use storm_rtree::Item;
 
-use super::cluster::ParallelRsCluster;
-use super::coordinator::{Coordinator, SessionStream};
+use super::coordinator::Coordinator;
+use super::stream::SessionStream;
 use crate::{SampleMode, SamplerKind, SpatialSampler};
 
 /// The coordinator side of a parallel scatter-gather sample stream: a
@@ -14,10 +14,13 @@ use crate::{SampleMode, SamplerKind, SpatialSampler};
 /// merge` per [`SpatialSampler::next_batch`], then close on drop.
 ///
 /// `next_batch` is the intended entry point (`next_sample` degenerates to
-/// blocks of one and pays a channel round-trip per draw).
+/// blocks of one and pays a fill round per draw).
 /// [`SpatialSampler::degraded`] reports any shards written off while the
-/// stream ran. Holds only a shared borrow of the cluster: any number of
-/// samplers can stream concurrently, each over its own reply channel.
+/// stream ran. Over a cluster ([`crate::ParallelRsCluster::sampler`]) it
+/// holds only a shared borrow: any number of samplers can stream
+/// concurrently, each over its own reply channel. Over a partition
+/// ([`crate::DistributedRsTree::sampler`]) its coordinator steps the
+/// shards on the caller's thread and emits the identical stream.
 #[derive(Debug)]
 pub struct ParallelSampler<'a> {
     coord: Coordinator<'a>,
@@ -25,16 +28,15 @@ pub struct ParallelSampler<'a> {
 }
 
 impl<'a> ParallelSampler<'a> {
-    /// Opens the stream: scatters the open to every shard (each worker
-    /// computes its partial count concurrently), then gathers the counts.
-    pub(super) fn open(
-        cluster: &'a ParallelRsCluster,
+    /// Opens `session`'s stream on `coord`: scatters the open to every
+    /// shard, then gathers the counts.
+    pub(crate) fn open(
+        mut coord: Coordinator<'a>,
+        session: u64,
         query: Rect2,
         mode: SampleMode,
         seed: u64,
     ) -> Self {
-        let mut coord = Coordinator::new(cluster);
-        let session = cluster.allocate_session();
         // One session in, one stream out.
         let stream = coord
             .open_sessions([(session, query, mode, seed)])
@@ -54,14 +56,14 @@ impl<'a> ParallelSampler<'a> {
             }
         }
         // Owed but not requested: served from the prefetch buffer.
-        (0..stream.plan.len()).any(|s| stream.plan[s] == 0 && stream.core.owed(s) > 0)
+        (0..stream.plan.len()).any(|s| stream.plan[s] == 0 && stream.owed(s) > 0)
     }
 }
 
 impl SpatialSampler<2> for ParallelSampler<'_> {
     fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<2>> {
-        // A block of one: correct, but the channel round-trip per draw is
-        // exactly what `next_batch` amortises away.
+        // A block of one: correct, but the round per draw is exactly what
+        // `next_batch` amortises away.
         let mut one = Vec::with_capacity(1);
         self.next_batch(rng, &mut one, 1);
         one.pop()
@@ -92,7 +94,7 @@ impl SpatialSampler<2> for ParallelSampler<'_> {
             }
             // Phase 3: merge in drawn order.
             let merged = self.stream.merge_into(buf);
-            if self.stream.core.mode() == SampleMode::WithReplacement && merged < drawn {
+            if self.stream.mode() == SampleMode::WithReplacement && merged < drawn {
                 // With replacement a full retry can only repeat the same
                 // shortfall (weights are static); stop instead of looping.
                 break;
@@ -110,7 +112,7 @@ impl SpatialSampler<2> for ParallelSampler<'_> {
     }
 
     fn degraded(&self) -> Option<DegradedInfo> {
-        Some(self.stream.core.degraded_info())
+        Some(self.stream.degraded_info())
     }
 }
 

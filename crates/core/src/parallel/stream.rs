@@ -1,4 +1,5 @@
-//! The sans-I/O round state machine shared by every coordinator.
+//! One session's stream: the sans-I/O round state machine every
+//! coordinator drives.
 
 use rand::{Rng, RngExt};
 use storm_faultkit::{DegradedInfo, FailReason};
@@ -19,30 +20,34 @@ const PREFETCH_AMPLIFY: usize = 32;
 /// a worker to materialize an unbounded batch in one message.
 const PREFETCH_MAX: usize = 1024;
 
-/// The sans-I/O per-stream coordinator state machine: the multinomial
-/// draw, prefetch request sizing, buffered-batch bookkeeping, drawn-order
-/// merge, and degraded-mode write-off for **one** scatter-gather stream.
+/// One session's stream as a [`super::Coordinator`] drives it: the
+/// sans-I/O round state machine — the multinomial draw, prefetch request
+/// sizing, buffered-batch bookkeeping, drawn-order merge, and
+/// degraded-mode write-off — plus the session's protocol identity. Callers
+/// see only the sampling side (draw, merge, counts, degradation); every
+/// exchange with a shard goes through the coordinator that opened it.
 ///
-/// Every session's core lives in a [`super::SessionStream`] that the one
-/// [`super::Coordinator`] drives, whether the caller is a
-/// [`super::ParallelSampler`] (one session) or the `storm-server`
-/// scheduler (a tick's worth, requests coalesced per shard). Keeping the
-/// round-planning arithmetic here — and nowhere else — is what pins the
-/// multi-tenant determinism contract: every quantity a worker's batched
-/// kernel can observe (which shard is asked, for how much, in which
-/// round) is a pure function of this session-local state and the
+/// A [`super::ParallelSampler`] drives one session; the `storm-server`
+/// scheduler drives a tick's worth, requests coalesced per shard. Keeping
+/// the round-planning arithmetic here — and nowhere else — is what pins
+/// the multi-tenant determinism contract: every quantity a shard's
+/// batched kernel can observe (which shard is asked, for how much, in
+/// which round) is a pure function of this session-local state and the
 /// session's own RNG, so a stream chunked under 1 000 co-tenants is
 /// byte-identical to the same stream running alone. (The worker's WOR
 /// kernel draws a part sequence *per fill*, so 64 + 64 ≠ 128: request
 /// *sizes* must never depend on co-tenant load — schedulers may delay a
 /// round, never resize it.)
 ///
-/// The round protocol, in order: [`StreamCore::draw`] →
-/// [`StreamCore::plan_requests`] → (caller I/O) →
-/// [`StreamCore::deliver`]/[`StreamCore::fail`] per contacted shard →
-/// [`StreamCore::merge_into`].
+/// The round protocol, in order: [`SessionStream::draw`] → plan (the
+/// coordinator's `queue_fill`) → I/O → deliver/fail per contacted shard
+/// (`apply_round`) → [`SessionStream::merge_into`].
 #[derive(Debug)]
-pub(super) struct StreamCore {
+pub struct SessionStream {
+    /// The session's cluster-unique id (every request's tag).
+    pub(super) session: u64,
+    /// The current round's per-shard request sizes (0 = not asked).
+    pub(super) plan: Vec<usize>,
     mode: SampleMode,
     /// Initial per-shard result counts.
     weights: Vec<u64>,
@@ -70,15 +75,20 @@ pub(super) struct StreamCore {
     /// Per-shard dead flags (never plan a request to a written-off shard).
     dead: Vec<bool>,
     /// Budget-aware prefetch cap: draws the stream still owes its caller
-    /// after the current round (see [`StreamCore::set_fetch_hint`]).
+    /// after the current round (see [`SessionStream::set_fetch_hint`]).
     fetch_hint: Option<u64>,
 }
 
-impl StreamCore {
-    /// Builds the state machine from the gathered per-shard counts, with
+impl SessionStream {
+    /// Builds `session`'s stream from the gathered per-shard counts, with
     /// open-phase failures already recorded (failed shards carry weight 0,
     /// so they are never drawn).
-    pub fn new(mode: SampleMode, weights: Vec<u64>, failures: Vec<(usize, FailReason)>) -> Self {
+    pub(super) fn new(
+        session: u64,
+        mode: SampleMode,
+        weights: Vec<u64>,
+        failures: Vec<(usize, FailReason)>,
+    ) -> Self {
         let total: u64 = weights.iter().sum();
         // Shards dead at open never reported a count, so their mass cannot
         // enter `initial_total`; they are recorded with zero lost mass and
@@ -89,7 +99,9 @@ impl StreamCore {
             degraded.record(s, reason, 0);
         }
         let n = weights.len();
-        StreamCore {
+        SessionStream {
+            session,
+            plan: vec![0; n],
             mode,
             remaining: weights.clone(),
             weights,
@@ -108,7 +120,7 @@ impl StreamCore {
 
     /// Declares how many draws the stream still owes its caller *after*
     /// the current round, capping request amplification so a short-budget
-    /// stream does not prefetch [`PREFETCH_AMPLIFY`] rounds it will never
+    /// stream does not prefetch `PREFETCH_AMPLIFY` rounds it will never
     /// consume. The cap is apportioned per shard by weight share (a
     /// shard is asked for this round's deficit plus its share of the
     /// future draws, plus one for rounding); under-apportionment only
@@ -125,7 +137,7 @@ impl StreamCore {
     }
 
     /// The sampling mode this stream was opened with.
-    pub fn mode(&self) -> SampleMode {
+    pub(super) fn mode(&self) -> SampleMode {
         self.mode
     }
 
@@ -135,22 +147,21 @@ impl StreamCore {
     }
 
     /// This round's owed count for shard `s` (valid between
-    /// [`StreamCore::draw`] and the next round's draw).
-    pub fn owed(&self, s: usize) -> usize {
+    /// [`SessionStream::draw`] and the next round's draw).
+    pub(super) fn owed(&self, s: usize) -> usize {
         self.need[s]
     }
 
     /// A snapshot of the stream's degraded-mode report.
-    pub fn degraded_info(&self) -> DegradedInfo {
+    pub(super) fn degraded_info(&self) -> DegradedInfo {
         self.degraded.clone()
     }
 
-    /// True once any shard has been written off — a cheap check so
-    /// per-round callers (the multi-session scheduler) only pay the
-    /// [`StreamCore::degraded_info`] clone on streams that actually
-    /// degraded.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.is_degraded()
+    /// The stream's degraded-mode report, once any shard has been written
+    /// off — so per-round callers (the multi-session scheduler) pay the
+    /// clone only on streams that actually degraded.
+    pub fn degraded(&self) -> Option<DegradedInfo> {
+        self.degraded.is_degraded().then(|| self.degraded_info())
     }
 
     /// The fraction of the declared result mass lost to written-off
@@ -212,8 +223,8 @@ impl StreamCore {
     }
 
     /// Phase 2 planning: computes this round's per-shard request sizes
-    /// into `out` (index = shard, 0 = no I/O needed), compacting consumed
-    /// buffer prefixes as it goes.
+    /// into the plan (index = shard, 0 = no I/O needed), compacting
+    /// consumed buffer prefixes as it goes.
     ///
     /// Requests are *amplified*: instead of exactly this round's owed
     /// count, a shard is asked for up to [`PREFETCH_AMPLIFY`] rounds'
@@ -228,8 +239,8 @@ impl StreamCore {
     /// session-local, so co-tenant load cannot perturb the sizes either.
     /// WOR prefetch is capped by the mass the worker can still serve so
     /// over-requesting can never masquerade as under-delivery.
-    pub fn plan_requests(&mut self, out: &mut Vec<usize>) {
-        out.clear();
+    pub(super) fn plan_requests(&mut self) {
+        self.plan.clear();
         // Budget-aware cap (see `set_fetch_hint`): per shard, this round's
         // deficit plus the shard's weight share of the declared future
         // draws. `None` hint = no cap (the long-stream default).
@@ -251,8 +262,10 @@ impl StreamCore {
             } else {
                 let mut amplified = deficit.max((need * PREFETCH_AMPLIFY).min(PREFETCH_MAX));
                 if let Some((h, total)) = hint {
-                    let share = (h * self.weights[s] / total) as usize + 1;
-                    amplified = amplified.min(deficit + share);
+                    // Widened: the hint is a client's budget, any u64.
+                    let share = u128::from(h) * u128::from(self.weights[s]) / u128::from(total);
+                    let share = usize::try_from(share).unwrap_or(usize::MAX);
+                    amplified = amplified.min(deficit.saturating_add(share).saturating_add(1));
                 }
                 match self.mode {
                     SampleMode::WithoutReplacement => {
@@ -262,12 +275,12 @@ impl StreamCore {
                     SampleMode::WithReplacement => amplified,
                 }
             };
-            out.push(req);
+            self.plan.push(req);
         }
     }
 
     /// Banks one contacted shard's gathered batch for merging.
-    pub fn deliver(&mut self, s: usize, items: Vec<Item<2>>) {
+    pub(super) fn deliver(&mut self, s: usize, items: Vec<Item<2>>) {
         self.fetched[s] += items.len() as u64;
         if self.batches[s].is_empty() {
             self.batches[s] = items;
@@ -280,7 +293,7 @@ impl StreamCore {
     /// of the stream. Already-buffered items are still valid output and
     /// will be merged; only the part of this round's draw the buffer
     /// cannot cover is lost.
-    pub fn fail(&mut self, s: usize, reason: FailReason) {
+    pub(super) fn fail(&mut self, s: usize, reason: FailReason) {
         let shortfall = self.need[s].saturating_sub(self.batches[s].len()) as u64;
         self.write_off(s, reason, shortfall);
     }

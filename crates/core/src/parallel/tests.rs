@@ -2,7 +2,7 @@
 //! recovery, and the worker's dead-coordinator cleanup.
 #![cfg(test)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,8 +14,8 @@ use storm_geo::{Point2, Rect2};
 use storm_rtree::Item;
 
 use super::coordinator::Answer;
-use super::protocol::{FillReq, OpenManyArgs, OpenReq, ShardCmd, ShardReply};
-use super::worker::{serve_fill_many, serve_open_many};
+use super::protocol::{FillReq, OpenReq, ShardCmd, ShardReply};
+use super::worker::ShardServer;
 use super::*;
 use crate::rs_tree::RsTree;
 use crate::{DistributedRsTree, RsTreeConfig, SampleMode, SpatialSampler};
@@ -356,7 +356,7 @@ fn close_on_live_worker_succeeds_and_counts_nothing() {
     let c = cluster(400, 2);
     // Closing a session no worker has heard of is a no-op the channel
     // still carries: live workers, nothing counted.
-    c.close_many(&[12345]);
+    Coordinator::new(&c).close_sessions(&[12345]);
     assert_eq!(c.dropped_sends(), 0);
 }
 
@@ -405,43 +405,47 @@ fn a_reply_to_a_dropped_receiver_forgets_the_stream() {
     let tree = RsTree::bulk_load(grid_items(400), RsTreeConfig::with_fanout(16));
     let frozen = Arc::new(tree.freeze());
     let query = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(99.0, 3.0));
-    let mut streams = HashMap::new();
+    let mut server = ShardServer::new(frozen, 0);
     let (tx, rx) = unbounded();
-    let open = |session: u64| OpenManyArgs {
-        reqs: Arc::from([OpenReq {
+    let open = |session: u64| {
+        let req = OpenReq {
             session,
             query,
             mode: SampleMode::WithoutReplacement,
             seed: 1,
-        }]),
-        hook: None,
-        recover: false,
-        reply: tx.clone(),
+        };
+        ShardCmd::OpenMany(Arc::from([req]), tx.clone())
     };
-    let fill = |seq: u64| FillReq {
-        session: 7,
-        n: 8,
-        seq,
+    let fill = |seq: u64| {
+        ShardCmd::FillMany(vec![FillReq {
+            session: 7,
+            n: 8,
+            seq,
+        }])
     };
-    assert_eq!(serve_open_many(&frozen, 0, 0, open(7), &mut streams), 1);
+    server.serve(open(7));
+    assert_eq!(server.open_ops, 1);
     // Serving is synchronous: the reply is already queued.
     assert!(matches!(rx.try_recv(), Ok(ShardReply::Opens { .. })));
     // A live coordinator keeps its stream across fills.
-    serve_fill_many(0, &[fill(0)], &mut streams);
+    server.serve(fill(0));
     assert!(matches!(rx.try_recv(), Ok(ShardReply::Batches { .. })));
-    assert!(streams.contains_key(&7));
+    assert!(server.streams.contains_key(&7));
     drop(rx);
-    serve_fill_many(0, &[fill(1)], &mut streams);
-    assert!(!streams.contains_key(&7), "orphaned stream survived a fill");
+    server.serve(fill(1));
+    assert!(
+        !server.streams.contains_key(&7),
+        "orphaned stream survived a fill"
+    );
     // And an open whose coordinator is already gone leaves nothing.
-    serve_open_many(&frozen, 0, 1, open(8), &mut streams);
-    assert!(streams.is_empty(), "orphaned open was tabled");
+    server.serve(open(8));
+    assert!(server.streams.is_empty(), "orphaned open was tabled");
 }
 
 #[test]
 fn dropped_send_counter_is_exact_under_contention() {
     // The documented Relaxed-ordering policy in action: Relaxed RMWs
-    // are still atomic, so hammering close_many on a shut-down
+    // are still atomic, so hammering close_sessions on a shut-down
     // cluster from many threads must count every dropped send exactly
     // — no torn or lost increments, no ordering needed.
     let c = cluster(200, 2);
@@ -460,9 +464,9 @@ fn dropped_send_counter_is_exact_under_contention() {
     let threads = 8;
     let iters = 250;
     storm_testkit::stress_concurrent(threads, iters, |_, _| {
-        c.close_many(&[7]);
+        Coordinator::new(&c).close_sessions(&[7]);
     });
-    // Every close_many on a dead 2-shard cluster counts exactly 2.
+    // Every close_sessions on a dead 2-shard cluster counts exactly 2.
     assert_eq!(
         c.dropped_sends() - before,
         (threads * iters * c.num_shards()) as u64
@@ -633,7 +637,7 @@ fn recovery_off_never_resends() {
         let s = &mut streams[0];
         // The workers forget the stream behind the coordinator's back, so
         // they drop its fills unanswered.
-        c.close_many(&[id]);
+        coord.close_sessions(&[id]);
         s.draw(&mut StdRng::seed_from_u64(2), 16);
         assert!(coord.queue_fill(s) > 0);
         coord.fill_round();
@@ -647,4 +651,114 @@ fn recovery_off_never_resends() {
             assert!(coord.dead[shard]);
         }
     });
+}
+
+/// Drains `stream` in blocks cycling through `batches`: WOR to the end,
+/// WR for `cap` draws.
+fn drain_in_blocks(s: &mut dyn SpatialSampler<2>, batches: &[usize], cap: usize) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut buf = Vec::new();
+    for &k in batches.iter().cycle() {
+        let k = k.min(cap - buf.len());
+        if k == 0 || s.next_batch(&mut rng, &mut buf, k) == 0 {
+            break;
+        }
+    }
+    buf.iter().map(|it| it.id).collect()
+}
+
+#[test]
+fn in_thread_and_threaded_shards_emit_the_identical_stream() {
+    // The one-gather contract: `DistributedRsTree::sampler` steps its
+    // shards on the caller's thread, `into_parallel().sampler` sends the
+    // same commands to worker threads, and under the same seeds the two
+    // emit the same ids in the same order.
+    let q = Rect2::from_corners(Point2::xy(3.0, 4.0), Point2::xy(88.0, 41.0));
+    let batches = [1, 7, 64, 300, 2_000];
+    for shards in [1, 4, 8] {
+        let d =
+            DistributedRsTree::bulk_load(grid_items(6_000), shards, RsTreeConfig::with_fanout(16));
+        let c = ParallelRsCluster::from_frozen(d.shards());
+        for (mode, cap) in [
+            (SampleMode::WithoutReplacement, usize::MAX),
+            (SampleMode::WithReplacement, 6_000),
+        ] {
+            let seed = 40 + shards as u64;
+            let local = drain_in_blocks(&mut d.sampler(q, mode, seed), &batches, cap);
+            let threaded = drain_in_blocks(&mut c.sampler(q, mode, seed), &batches, cap);
+            assert!(
+                local.len() >= 3_000,
+                "{shards} shards, {mode:?}: short drain"
+            );
+            assert_eq!(local, threaded, "{shards} shards, {mode:?}");
+        }
+    }
+}
+
+/// What [`drain_with_fetch_hint`] saw: the drained ids, every round's
+/// per-shard request sizes, and whether the stream degraded.
+type HintedDrain = (Vec<u64>, Vec<usize>, bool);
+
+/// Drains a WOR session on one coordinator, declaring `hint` further draws
+/// (if any) before every round the way the server's scheduler does.
+fn drain_with_fetch_hint(c: &ParallelRsCluster, q: Rect2, hint: Option<u64>) -> HintedDrain {
+    let mut coord = Coordinator::new(c);
+    let id = c.allocate_session();
+    let mut s = coord
+        .open_sessions([(id, q, SampleMode::WithoutReplacement, 1)])
+        .swap_remove(0);
+    let mut rng = StdRng::seed_from_u64(2);
+    let (mut buf, mut fills) = (Vec::new(), Vec::new());
+    while s.draw(&mut rng, 16) > 0 {
+        if let Some(hint) = hint {
+            s.set_fetch_hint(hint);
+        }
+        if coord.queue_fill(&mut s) > 0 {
+            coord.fill_round();
+            coord.apply_round(&mut s);
+        }
+        fills.extend_from_slice(&s.plan);
+        s.merge_into(&mut buf);
+    }
+    coord.close_sessions(&[id]);
+    let ids = buf.iter().map(|it| it.id).collect();
+    (ids, fills, s.degraded().is_some())
+}
+
+#[test]
+fn a_huge_fetch_hint_still_fetches_a_one_point_window() {
+    // A client's sample budget reaches the hint unchecked; near u64::MAX
+    // the per-shard share must saturate, not wrap to a zero-size fill
+    // that writes the shard off.
+    let c = cluster(400, 1);
+    let q = Rect2::from_corners(Point2::xy(4.5, 1.5), Point2::xy(5.5, 2.5));
+    let (got, _, degraded) = drain_with_fetch_hint(&c, q, Some(u64::MAX - 1));
+    assert_eq!(got, vec![205]);
+    assert!(!degraded, "the only shard was written off");
+}
+
+#[test]
+fn a_2_pow_62_fetch_hint_drains_a_window_exactly() {
+    // A hint this large never caps a request, so the drain is the
+    // unhinted one, fill for fill. The window's 1 200 points make 2⁶²·w
+    // wrap to 0 in u64, which would shrink every fill to its deficit
+    // plus one.
+    let c = cluster(2_000, 1);
+    let q = Rect2::from_corners(Point2::xy(0.0, 0.0), Point2::xy(59.0, 19.0));
+    let (got, fills, degraded) = drain_with_fetch_hint(&c, q, Some(1 << 62));
+    let expected: HashSet<u64> = grid_items(2_000)
+        .iter()
+        .filter(|it| q.contains_point(&it.point))
+        .map(|it| it.id)
+        .collect();
+    assert_eq!(
+        got.len(),
+        expected.len(),
+        "a point repeated or went missing"
+    );
+    assert_eq!(got.iter().copied().collect::<HashSet<u64>>(), expected);
+    assert!(!degraded);
+    let (unhinted, unhinted_fills, _) = drain_with_fetch_hint(&c, q, None);
+    assert_eq!(fills, unhinted_fills, "the hint shrank a fill");
+    assert!(got == unhinted, "the hinted drain left the unhinted stream");
 }

@@ -1,5 +1,7 @@
-//! The shard worker: the command loop, its session table of lazily
-//! materialised streams, and panic-contained open/fill serving.
+//! The shard server: one shard's snapshot, its session table of lazily
+//! materialised streams, and panic-contained open/fill serving — stepped
+//! by a worker thread's command loop or, in process, by the coordinator
+//! itself.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -12,21 +14,16 @@ use storm_faultkit::{FaultHook, FaultKind, FaultSite};
 use storm_geo::Rect2;
 use storm_rtree::Item;
 
-use super::protocol::{
-    FillReq, OpenManyArgs, OpenReq, SessionBatch, SessionOpen, ShardCmd, ShardReply,
-};
+use super::protocol::{FillReq, OpenReq, SessionBatch, SessionOpen, ShardCmd, ShardReply};
 use crate::{mix64, FrozenRsTree, FrozenSampler, SampleMode, SpatialSampler};
 
 /// Live per-stream state in a worker's session table.
+#[derive(Debug)]
 struct StreamState {
     /// The frozen-kernel sampler for this stream's query.
     sampler: FrozenSampler<2>,
     /// The stream-local seeded RNG.
     rng: StdRng,
-    /// Fault-injection hook (test/chaos runs only).
-    hook: Option<Arc<dyn FaultHook>>,
-    /// Whether to populate the replay cache.
-    recover: bool,
     /// Monotone count of fills received on this stream: the op coordinate
     /// for fill-site fault decisions. A retried fill is a new op, so a
     /// transient injected fault doesn't condemn every retry with it.
@@ -49,6 +46,7 @@ struct StreamState {
 /// stream state: for selective queries over many shards the open cost
 /// collapses from O(shards · sampler builds) to O(shards · count
 /// descents) + O(touched shards · sampler builds).
+#[derive(Debug)]
 enum StreamSlot {
     /// Opened, never filled: everything needed to build the sampler on
     /// first touch. Rebuilding from the parked spec is exact — no RNG
@@ -66,10 +64,6 @@ enum StreamSlot {
         mode: SampleMode,
         /// Stream seed (already shard-derived).
         seed: u64,
-        /// Fault-injection hook (test/chaos runs only).
-        hook: Option<Arc<dyn FaultHook>>,
-        /// Whether to populate the replay cache.
-        recover: bool,
     },
     /// Materialised and serving fills.
     Ready(Box<StreamState>),
@@ -80,6 +74,7 @@ enum StreamSlot {
 }
 
 /// One entry in a worker's session table.
+#[derive(Debug)]
 pub(super) struct StreamEntry {
     /// Where this stream's replies go.
     reply: Sender<ShardReply>,
@@ -98,186 +93,248 @@ enum FillOutcome {
     Poisoned,
 }
 
-/// The worker loop: serve any number of concurrently open streams over
-/// the shard's frozen snapshot until shutdown (or until every coordinator
-/// has dropped its command sender).
+/// One shard's server: its frozen snapshot, its session table and the
+/// cluster's fault setting. A worker thread steps it from its command
+/// channel ([`ShardServer::run`]); an in-process coordinator steps it on
+/// its own thread. Both go through [`ShardServer::serve`], so a stream is
+/// the same whichever transport carries it.
 ///
 /// Opens and fills run under `catch_unwind`, so a panic while serving —
 /// injected by a [`FaultHook`] or genuine — poisons only the stream it
 /// hit. The snapshot is immutable and survives, the stream's coordinator
-/// is told (`count: None` / `items: None`), and the worker keeps serving
+/// is told (`count: None` / `items: None`), and the server keeps serving
 /// every other stream.
-pub(super) fn run_shard(mut frozen: Arc<FrozenRsTree<2>>, shard: usize, cmd: &Receiver<ShardCmd>) {
-    // The session table: every open stream (or poisoned husk thereof).
-    let mut streams: HashMap<u64, StreamEntry> = HashMap::new();
-    // Monotone count of streams opened on this worker: the op coordinate
-    // for open-site fault decisions.
-    let mut open_ops: u64 = 0;
-    loop {
-        // storm-analyzer: allow(A5): worker command loop — each recv is one control message (OpenMany/FillMany/CloseMany/Swap/Shutdown); items never travel here
-        // storm-analyzer: allow(A13): parking on the command channel IS the worker's idle state; every coordinator dropping disconnects the recv and exits below
-        let Ok(msg) = cmd.recv() else {
-            return; // every coordinator dropped: exit
-        };
-        match msg {
-            ShardCmd::Shutdown => return,
-            // Epoch handoff: subsequent opens snapshot the new frozen
-            // form; streams already tabled keep their pinned Arcs (in
-            // `StreamSlot::Lazy` or inside their `FrozenSampler`), so
-            // open sessions are untouched. The old snapshot is freed
-            // when its last pinning stream closes.
-            ShardCmd::Swap(next) => frozen = next,
+#[derive(Debug)]
+pub(super) struct ShardServer {
+    /// The snapshot new opens pin.
+    frozen: Arc<FrozenRsTree<2>>,
+    /// This shard's index (reply tag and fault coordinate).
+    shard: usize,
+    /// Monotone count of streams opened here: the op coordinate for
+    /// open-site fault decisions.
+    pub(super) open_ops: u64,
+    /// The session table: every open stream (or poisoned husk thereof).
+    pub(super) streams: HashMap<u64, StreamEntry>,
+    /// Fault-injection hook (test/chaos runs only).
+    hook: Option<Arc<dyn FaultHook>>,
+    /// Whether coordinators may retry fills: enables the per-stream batch
+    /// replay cache (skipped entirely on the fast path).
+    recover: bool,
+}
+
+impl ShardServer {
+    /// A server for shard `shard` over `frozen`, with no stream open and
+    /// no fault setting.
+    pub(super) fn new(frozen: Arc<FrozenRsTree<2>>, shard: usize) -> Self {
+        ShardServer {
+            frozen,
+            shard,
+            open_ops: 0,
+            streams: HashMap::new(),
+            hook: None,
+            recover: false,
+        }
+    }
+
+    /// The worker loop: serves any number of concurrently open streams
+    /// until shutdown, or until every coordinator has dropped its command
+    /// sender.
+    pub(super) fn run(mut self, cmd: &Receiver<ShardCmd>) {
+        // storm-analyzer: allow(A5): worker command loop — each recv is one control message (OpenMany/FillMany/CloseMany/Swap/Faults/Shutdown); items never travel here
+        // storm-analyzer: allow(A13): parking on the command channel IS the worker's idle state; every coordinator dropping disconnects the recv and exits the loop
+        while let Ok(msg) = cmd.recv() {
+            if !self.serve(msg) {
+                return;
+            }
+        }
+    }
+
+    /// Serves one command; `false` means shut down.
+    pub(super) fn serve(&mut self, cmd: ShardCmd) -> bool {
+        match cmd {
+            ShardCmd::Shutdown => return false,
+            // Epoch handoff: later opens pin the new snapshot; streams
+            // already tabled keep their pinned Arcs (in `StreamSlot::Lazy`
+            // or inside their `FrozenSampler`), so open sessions are
+            // untouched. The old snapshot is freed when its last pinning
+            // stream closes.
+            ShardCmd::Swap(next) => self.frozen = next,
+            ShardCmd::Faults(hook, recover) => (self.hook, self.recover) = (hook, recover),
             ShardCmd::CloseMany(sessions) => {
                 for session in sessions.iter() {
-                    streams.remove(session);
+                    self.streams.remove(session);
                 }
             }
-            ShardCmd::OpenMany(args) => {
-                open_ops = serve_open_many(&frozen, shard, open_ops, *args, &mut streams);
+            ShardCmd::OpenMany(reqs, reply) => self.open_many(&reqs, &reply),
+            ShardCmd::FillMany(reqs) => self.fill_many(&reqs),
+        }
+        true
+    }
+
+    /// Serves one [`ShardCmd::OpenMany`]: every named session's stream is
+    /// opened (count + table insert) in admission order, answered with one
+    /// [`ShardReply::Opens`] on `reply`. Panic containment is per session —
+    /// a stillborn open rides along as `count: None` and the rest of the
+    /// batch opens normally. An injected `DropReply` omits that session
+    /// from the reply (the stream itself still opens; the coordinator
+    /// retries or writes the shard off). A batch whose coordinator is
+    /// already gone leaves nothing behind.
+    fn open_many(&mut self, reqs: &[OpenReq], reply: &Sender<ShardReply>) {
+        let shard = self.shard;
+        let mut opens = Vec::with_capacity(reqs.len());
+        for &OpenReq {
+            session,
+            query,
+            mode,
+            seed,
+        } in reqs
+        {
+            let op = self.open_ops;
+            self.open_ops += 1;
+            let (frozen, hook) = (&self.frozen, self.hook.as_deref());
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                let drop_reply = inject(hook, FaultSite::Open, shard, op);
+                // Count-only descent; the sampler is built lazily on first
+                // fill (see [`StreamSlot`]), so a shard this query never
+                // touches never pays a sampler build. The descent visits
+                // exactly the nodes the cone carve would, so this count
+                // equals the eager sampler's `result_size`.
+                (frozen.exact_count(&query), drop_reply)
+            }));
+            match built {
+                Ok((count, drop_reply)) => {
+                    // A zero-count stream can never be filled (its weight
+                    // is 0 in every coordinator), so it is not tabled: its
+                    // close is a no-op remove.
+                    if count > 0 {
+                        let seed = shard_seed(seed, shard);
+                        let frozen = Arc::clone(&self.frozen);
+                        let slot = StreamSlot::Lazy {
+                            frozen,
+                            query,
+                            mode,
+                            seed,
+                        };
+                        self.table(session, reply, slot);
+                    }
+                    if !drop_reply {
+                        opens.push(SessionOpen {
+                            session,
+                            count: Some(count),
+                        });
+                    }
+                }
+                Err(_) => {
+                    // Contained: this stream is stillborn, the batch and
+                    // the snapshot are fine. Keep a poisoned entry so
+                    // straggler fills are answered instead of timing out.
+                    self.table(session, reply, StreamSlot::Poisoned);
+                    opens.push(SessionOpen {
+                        session,
+                        count: None,
+                    });
+                }
             }
-            ShardCmd::FillMany(reqs) => serve_fill_many(shard, &reqs, &mut streams),
+        }
+        if reply.send(ShardReply::Opens { shard, opens }).is_err() {
+            // Coordinator already gone: nobody is left to fill or close these.
+            for r in reqs {
+                self.streams.remove(&r.session);
+            }
+        }
+    }
+
+    /// Tables `session`'s stream with its own handle on `reply`.
+    fn table(&mut self, session: u64, reply: &Sender<ShardReply>, slot: StreamSlot) {
+        let reply = reply.clone();
+        self.streams.insert(session, StreamEntry { reply, slot });
+    }
+
+    /// Serves one [`ShardCmd::FillMany`]: every named session's fill in
+    /// request order, answered with one [`ShardReply::Batches`] on the
+    /// first named stream's reply channel (all sessions in one `FillMany`
+    /// share a channel). A reply that finds the coordinator gone drops the
+    /// named streams.
+    fn fill_many(&mut self, reqs: &[FillReq]) {
+        let mut replies = Vec::with_capacity(reqs.len());
+        let mut reply_to: Option<Sender<ShardReply>> = None;
+        for r in reqs {
+            // A fill for an unknown session is a straggler for a stream
+            // already closed; with no reply channel left there is nobody
+            // to tell, and nobody waiting.
+            let Some(entry) = self.streams.get_mut(&r.session) else {
+                continue;
+            };
+            if reply_to.is_none() {
+                // storm-analyzer: allow(A4): one Arc bump per FillMany round (first request only), amortised across the batch
+                reply_to = Some(entry.reply.clone());
+            }
+            let hook = self.hook.as_deref();
+            let items = match fill_stream(self.shard, hook, self.recover, r, entry) {
+                FillOutcome::Served(items) => Some(items),
+                FillOutcome::DroppedReply => continue,
+                FillOutcome::Poisoned => None,
+            };
+            replies.push(SessionBatch {
+                session: r.session,
+                seq: r.seq,
+                items,
+            });
+        }
+        let shard = self.shard;
+        let coordinator_gone =
+            reply_to.is_some_and(|tx| tx.send(ShardReply::Batches { shard, replies }).is_err());
+        if coordinator_gone {
+            for r in reqs {
+                self.streams.remove(&r.session);
+            }
         }
     }
 }
 
-/// Serves one [`ShardCmd::OpenMany`]: every named session's stream is
-/// opened (count + table insert) in admission order, answered with one
-/// [`ShardReply::Opens`] on the batch's shared channel. Panic containment
-/// is per session — a stillborn open rides along as `count: None` and the
-/// rest of the batch opens normally. An injected `DropReply` omits that
-/// session from the reply (the stream itself still opens; the coordinator
-/// retries or writes the shard off). A batch whose coordinator is already
-/// gone leaves nothing behind. Returns the advanced open-op counter.
-pub(super) fn serve_open_many(
-    frozen: &Arc<FrozenRsTree<2>>,
-    shard: usize,
-    mut open_ops: u64,
-    args: OpenManyArgs,
-    streams: &mut HashMap<u64, StreamEntry>,
-) -> u64 {
-    let OpenManyArgs {
-        reqs,
-        hook,
-        recover,
-        reply,
-    } = args;
-    let mut opens = Vec::with_capacity(reqs.len());
-    for &OpenReq {
-        session,
-        query,
-        mode,
-        seed,
-    } in reqs.iter()
-    {
-        let op = open_ops;
-        open_ops += 1;
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            let mut drop_reply = false;
-            if let Some(hook) = &hook {
-                match hook.fault(FaultSite::Open, shard, op) {
-                    Some(FaultKind::WorkerPanic) => {
-                        panic!(
-                            "storm-faultkit: injected worker panic (open, shard {shard}, op {op})"
-                        )
-                    }
-                    Some(FaultKind::DelayReplyMs(ms)) => {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                    Some(FaultKind::DropReply) => drop_reply = true,
-                    _ => {}
-                }
-            }
-            // Count-only descent; the sampler is built lazily on first
-            // fill (see [`StreamSlot`]), so a shard this query never
-            // touches never pays a sampler build. The descent visits
-            // exactly the nodes the cone carve would, so this count equals
-            // the eager sampler's `result_size`.
-            let count = frozen.exact_count(&query);
-            (count, drop_reply)
-        }));
-        match built {
-            Ok((count, drop_reply)) => {
-                // A zero-count stream can never be filled (its weight is 0
-                // in every coordinator), so it is not tabled at all: its
-                // close is a no-op remove and the session costs this shard
-                // nothing beyond the count descent.
-                if count > 0 {
-                    streams.insert(
-                        session,
-                        StreamEntry {
-                            reply: reply.clone(),
-                            slot: StreamSlot::Lazy {
-                                frozen: Arc::clone(frozen),
-                                query,
-                                mode,
-                                seed: shard_seed(seed, shard),
-                                hook: hook.clone(),
-                                recover,
-                            },
-                        },
-                    );
-                }
-                if !drop_reply {
-                    opens.push(SessionOpen {
-                        session,
-                        count: Some(count),
-                    });
-                }
-            }
-            Err(_) => {
-                // Contained: this stream is stillborn, the batch and the
-                // snapshot are fine. Keep a poisoned entry so straggler fills
-                // are answered instead of timing out.
-                streams.insert(
-                    session,
-                    StreamEntry {
-                        reply: reply.clone(),
-                        slot: StreamSlot::Poisoned,
-                    },
-                );
-                opens.push(SessionOpen {
-                    session,
-                    count: None,
-                });
-            }
+/// Applies `hook`'s decision for `(site, shard, op)`: panics (to be
+/// contained by the caller), sleeps, or returns `true` when the reply is
+/// to be dropped.
+fn inject(hook: Option<&dyn FaultHook>, site: FaultSite, shard: usize, op: u64) -> bool {
+    match hook.and_then(|h| h.fault(site, shard, op)) {
+        Some(FaultKind::WorkerPanic) => {
+            panic!("storm-faultkit: injected worker panic ({site:?}, shard {shard}, op {op})")
         }
-    }
-    if reply.send(ShardReply::Opens { shard, opens }).is_err() {
-        // Coordinator already gone: nobody is left to fill or close these.
-        for r in reqs.iter() {
-            streams.remove(&r.session);
+        Some(FaultKind::DelayReplyMs(ms)) => {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+            false
         }
+        Some(FaultKind::DropReply) => true,
+        _ => false,
     }
-    open_ops
 }
 
 /// Serves one fill against one table entry, containing panics by
 /// poisoning the entry. A first fill against a [`StreamSlot::Lazy`] entry
 /// materialises the sampler here (a panic during the build poisons the
 /// entry, same as a panic mid-fill) — from the snapshot `Arc` the entry
-/// pinned at open, never the worker's current one, so an epoch swap
+/// pinned at open, never the server's current one, so an epoch swap
 /// between open and first fill is invisible to the stream.
-fn fill_stream(shard: usize, n: usize, seq: u64, entry: &mut StreamEntry) -> FillOutcome {
+fn fill_stream(
+    shard: usize,
+    hook: Option<&dyn FaultHook>,
+    recover: bool,
+    req: &FillReq,
+    entry: &mut StreamEntry,
+) -> FillOutcome {
     if let StreamSlot::Lazy {
         frozen,
         query,
         mode,
         seed,
-        hook,
-        recover,
     } = &entry.slot
     {
-        let (query, mode, seed, recover) = (*query, *mode, *seed, *recover);
-        let hook = hook.clone();
-        let frozen = Arc::clone(frozen);
-        let built = catch_unwind(AssertUnwindSafe(|| frozen.sampler(&query, mode)));
-        match built {
+        let rng = StdRng::seed_from_u64(*seed);
+        match catch_unwind(AssertUnwindSafe(|| frozen.sampler(query, *mode))) {
             Ok(sampler) => {
                 entry.slot = StreamSlot::Ready(Box::new(StreamState {
                     sampler,
-                    rng: StdRng::seed_from_u64(seed),
-                    hook,
-                    recover,
+                    rng,
                     fill_ops: 0,
                     cache: None,
                 }));
@@ -294,26 +351,14 @@ fn fill_stream(shard: usize, n: usize, seq: u64, entry: &mut StreamEntry) -> Fil
     let op = state.fill_ops;
     state.fill_ops += 1;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut drop_reply = false;
-        if let Some(hook) = &state.hook {
-            match hook.fault(FaultSite::Fill, shard, op) {
-                Some(FaultKind::WorkerPanic) => {
-                    panic!("storm-faultkit: injected worker panic (fill, shard {shard}, op {op})")
-                }
-                Some(FaultKind::DelayReplyMs(ms)) => {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                Some(FaultKind::DropReply) => drop_reply = true,
-                _ => {}
-            }
-        }
+        let drop_reply = inject(hook, FaultSite::Fill, shard, op);
         let items = match &state.cache {
-            Some((cached_seq, cached)) if *cached_seq == seq => cached.clone(),
+            Some((cached_seq, cached)) if *cached_seq == req.seq => cached.clone(),
             _ => {
-                let mut batch = Vec::with_capacity(n);
-                state.sampler.next_batch(&mut state.rng, &mut batch, n);
-                if state.recover {
-                    state.cache = Some((seq, batch.clone()));
+                let mut batch = Vec::with_capacity(req.n);
+                state.sampler.next_batch(&mut state.rng, &mut batch, req.n);
+                if recover {
+                    state.cache = Some((req.seq, batch.clone()));
                 }
                 batch
             }
@@ -324,56 +369,10 @@ fn fill_stream(shard: usize, n: usize, seq: u64, entry: &mut StreamEntry) -> Fil
             FillOutcome::Served(items)
         }
     }));
-    match outcome {
-        Ok(o) => o,
-        Err(_) => {
-            entry.slot = StreamSlot::Poisoned;
-            FillOutcome::Poisoned
-        }
-    }
-}
-
-/// Serves one [`ShardCmd::FillMany`]: every named session's fill in
-/// request order, answered with one [`ShardReply::Batches`] on the first
-/// named stream's reply channel (all sessions in one `FillMany` share a
-/// channel). A reply that finds the coordinator gone drops the named
-/// streams.
-pub(super) fn serve_fill_many(
-    shard: usize,
-    reqs: &[FillReq],
-    streams: &mut HashMap<u64, StreamEntry>,
-) {
-    let mut replies = Vec::with_capacity(reqs.len());
-    let mut reply_to: Option<Sender<ShardReply>> = None;
-    for r in reqs {
-        // A fill for an unknown session is a straggler for a stream
-        // already closed; with no reply channel left there is nobody to
-        // tell, and nobody waiting.
-        let Some(entry) = streams.get_mut(&r.session) else {
-            continue;
-        };
-        if reply_to.is_none() {
-            // storm-analyzer: allow(A4): one Arc bump per FillMany round (first request only), amortised across the batch
-            reply_to = Some(entry.reply.clone());
-        }
-        let items = match fill_stream(shard, r.n, r.seq, entry) {
-            FillOutcome::Served(items) => Some(items),
-            FillOutcome::DroppedReply => continue,
-            FillOutcome::Poisoned => None,
-        };
-        replies.push(SessionBatch {
-            session: r.session,
-            seq: r.seq,
-            items,
-        });
-    }
-    let coordinator_gone =
-        reply_to.is_some_and(|tx| tx.send(ShardReply::Batches { shard, replies }).is_err());
-    if coordinator_gone {
-        for r in reqs {
-            streams.remove(&r.session);
-        }
-    }
+    outcome.unwrap_or_else(|_| {
+        entry.slot = StreamSlot::Poisoned;
+        FillOutcome::Poisoned
+    })
 }
 
 /// Derives shard `s`'s stream-RNG seed from the query seed.

@@ -81,7 +81,7 @@ proptest! {
         drop(rss);
 
         let cluster = DistributedRsTree::bulk_load(items, shards, RsTreeConfig::with_fanout(8));
-        let mut ds = cluster.sampler(query, SampleMode::WithoutReplacement);
+        let mut ds = cluster.sampler(query, SampleMode::WithoutReplacement, seed);
         prop_assert_eq!(drain(&mut ds, &mut rng).expect("no dupes"), expected);
     }
 

@@ -388,6 +388,8 @@ struct Session {
 
 /// The scheduler thread state.
 struct Sched<'a> {
+    /// The worker pool, for epoch installs.
+    cluster: &'a ParallelRsCluster,
     /// Every worker exchange: opens, fill rounds, closes.
     coord: Coordinator<'a>,
     cfg: ServeConfig,
@@ -413,6 +415,7 @@ struct Sched<'a> {
 impl<'a> Sched<'a> {
     fn new(cluster: &'a ParallelRsCluster, cfg: ServeConfig, ctrl: Receiver<Ctrl>) -> Self {
         Sched {
+            cluster,
             coord: Coordinator::new(cluster),
             cfg,
             ctrl,
@@ -505,7 +508,7 @@ impl<'a> Sched<'a> {
                 // Sessions admitted earlier in this same drain open first,
                 // so "admitted before the install" means "old epoch".
                 self.open_admitted();
-                let _ = reply.send(self.coord.cluster().install_epoch(shards));
+                let _ = reply.send(self.cluster.install_epoch(shards));
             }
             Ctrl::Stats { reply } => {
                 let _ = reply.send(ServerStats {

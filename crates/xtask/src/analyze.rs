@@ -915,8 +915,9 @@ fn pass_lock_across_blocking(g: &CallGraph<'_>, cfgs: &[Vec<Cfg>]) -> Vec<Diagno
 /// 1. **lexical** — panic sites directly inside a `spawn(…)` argument list
 ///    and not inside a `catch_unwind(…)` argument list;
 /// 2. **spawn entry** — one interprocedural hop: functions called directly
-///    from an unprotected spawn closure (the `spawn(move || run_shard(…))`
-///    pattern) have their own panic sites flagged too.
+///    from an unprotected spawn closure (the
+///    `spawn(move || ShardServer::new(…).run(…))` pattern) have their own
+///    panic sites flagged too.
 ///
 /// Propagation deliberately stops at one hop: the call graph links method
 /// calls by bare name, so following the spawn entry's calls transitively

@@ -481,12 +481,12 @@ pub fn pass_epoch_pin(
 /// Protocol operation classes, by exact variant / method name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ProtoOp {
-    /// The `OpenMany` variant, `open_shard`/`open_sessions` calls.
+    /// The `OpenMany` variant, `send_open`/`open_sessions` calls.
     Open,
-    /// The `FillMany` variant, `fill_many`/`queue_fill`/`fill_round`
+    /// The `FillMany` variant, `send_fill`/`queue_fill`/`fill_round`
     /// calls.
     Fill,
-    /// The `CloseMany` variant, `close_many`/`close_sessions` calls.
+    /// The `CloseMany` variant, `send_close`/`close_sessions` calls.
     Close,
     /// `Swap` variants, `install_epoch` calls.
     Swap,
@@ -505,16 +505,15 @@ fn variant_op(v: &str) -> Option<ProtoOp> {
 }
 
 /// Protocol wrapper methods, by exact name — never bare `open`/`close`,
-/// which the name-linked call graph would over-resolve: the cluster's
-/// per-shard senders and the coordinator's entry points every driver
-/// calls.
+/// which the name-linked call graph would over-resolve: the coordinator's
+/// per-shard senders and its entry points every driver calls.
 const PROTO_METHODS: [(&str, ProtoOp); 8] = [
-    ("open_shard", ProtoOp::Open),
+    ("send_open", ProtoOp::Open),
     ("open_sessions", ProtoOp::Open),
-    ("fill_many", ProtoOp::Fill),
+    ("send_fill", ProtoOp::Fill),
     ("queue_fill", ProtoOp::Fill),
     ("fill_round", ProtoOp::Fill),
-    ("close_many", ProtoOp::Close),
+    ("send_close", ProtoOp::Close),
     ("close_sessions", ProtoOp::Close),
     ("install_epoch", ProtoOp::Swap),
 ];
