@@ -79,10 +79,32 @@ pub fn io_cost(kind: SamplerKind, inp: &CostInputs) -> f64 {
     }
 }
 
+/// The methods [`recommend`] compares, with their scores, in tie-break
+/// order (the first of equal scores wins).
+///
+/// The LS-tree is not a candidate of its own: the engine serves its picks
+/// with the RS-tree's frozen kernel. It only produces without-replacement
+/// streams, so in that mode the RS-tree scores the cheaper of the two
+/// estimates, and the pick is the one a five-way comparison would make
+/// with an LS-tree pick handed to the RS-tree.
+pub fn scores(inp: &CostInputs, mode: SampleMode) -> [(SamplerKind, f64); 4] {
+    let cost = |kind| io_cost(kind, inp);
+    let rs = match mode {
+        SampleMode::WithoutReplacement => cost(SamplerKind::RsTree).min(cost(SamplerKind::LsTree)),
+        SampleMode::WithReplacement => cost(SamplerKind::RsTree),
+    };
+    [
+        (SamplerKind::QueryFirst, cost(SamplerKind::QueryFirst)),
+        (SamplerKind::SampleFirst, cost(SamplerKind::SampleFirst)),
+        (SamplerKind::RandomPath, cost(SamplerKind::RandomPath)),
+        (SamplerKind::RsTree, rs),
+    ]
+}
+
 /// Picks the cheapest applicable method for the query.
 ///
 /// Rules beyond raw cost, mirroring STORM's optimizer:
-/// * the LS-tree only produces without-replacement streams;
+/// * the LS-tree is never picked (see [`scores`]);
 /// * when the consumer will read (nearly) the whole result anyway
 ///   (`k_est >= q_est`), QueryFirst is never worse — the exact answer costs
 ///   the same as the samples;
@@ -91,18 +113,8 @@ pub fn recommend(inp: &CostInputs, mode: SampleMode) -> SamplerKind {
     if inp.k_est >= inp.q_est {
         return SamplerKind::QueryFirst;
     }
-    let mut candidates = vec![
-        SamplerKind::QueryFirst,
-        SamplerKind::SampleFirst,
-        SamplerKind::RandomPath,
-        SamplerKind::RsTree,
-    ];
-    if mode == SampleMode::WithoutReplacement {
-        candidates.push(SamplerKind::LsTree);
-    }
-    candidates
+    scores(inp, mode)
         .into_iter()
-        .map(|kind| (kind, io_cost(kind, inp)))
         .filter(|(_, c)| c.is_finite())
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map_or(SamplerKind::QueryFirst, |(kind, _)| kind)
@@ -124,13 +136,10 @@ mod tests {
 
     #[test]
     fn selective_small_k_prefers_an_index_sampler() {
-        // 10M points, q = 1M, k = 100: RS or LS should win by a mile.
+        // 10M points, q = 1M, k = 100: the RS-tree should win by a mile.
         let inp = inputs(10_000_000, 1_000_000, 100);
         let pick = recommend(&inp, SampleMode::WithoutReplacement);
-        assert!(
-            matches!(pick, SamplerKind::RsTree | SamplerKind::LsTree),
-            "picked {pick}"
-        );
+        assert_eq!(pick, SamplerKind::RsTree);
         assert!(io_cost(pick, &inp) * 10.0 < io_cost(SamplerKind::QueryFirst, &inp));
     }
 
@@ -169,14 +178,53 @@ mod tests {
     }
 
     #[test]
-    fn with_replacement_never_recommends_ls() {
-        for (q, k) in [(1_000_000, 10), (100_000, 1000), (10_000, 10)] {
-            let inp = inputs(10_000_000, q, k);
-            assert_ne!(
-                recommend(&inp, SampleMode::WithReplacement),
-                SamplerKind::LsTree
-            );
+    fn ls_is_never_recommended_in_either_mode() {
+        for mode in [SampleMode::WithReplacement, SampleMode::WithoutReplacement] {
+            for (q, k) in [(1_000_000, 10), (100_000, 1000), (10_000, 10)] {
+                let inp = inputs(10_000_000, q, k);
+                assert_ne!(recommend(&inp, mode), SamplerKind::LsTree, "{mode:?}");
+            }
         }
+    }
+
+    /// The five-way comparison `recommend` replaces: the cheapest finite
+    /// method, the LS-tree only without replacement, first of equals wins.
+    fn five_way_pick(inp: &CostInputs, mode: SampleMode) -> SamplerKind {
+        use SamplerKind::{LsTree, QueryFirst, RandomPath, RsTree, SampleFirst};
+        let ls_ok = mode == SampleMode::WithoutReplacement;
+        [QueryFirst, SampleFirst, RandomPath, RsTree, LsTree]
+            .into_iter()
+            .filter(|&kind| inp.k_est < inp.q_est && (kind != LsTree || ls_ok))
+            .map(|kind| (kind, io_cost(kind, inp)))
+            .filter(|(_, c)| c.is_finite())
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or(QueryFirst, |(kind, _)| kind)
+    }
+
+    #[test]
+    fn picks_equal_the_five_way_rule_with_ls_served_by_rs() {
+        let mut ls_picks = 0;
+        for n in [1_000, 100_000, 10_000_000] {
+            for (q, k) in [0, 1, 100, n / 100, n / 2, n]
+                .into_iter()
+                .flat_map(|q| [1, 10, 1_000, 100_000].map(|k| (q, k)))
+            {
+                for mode in [SampleMode::WithReplacement, SampleMode::WithoutReplacement] {
+                    let inp = inputs(n, q, k);
+                    let mut reference = five_way_pick(&inp, mode);
+                    if reference == SamplerKind::LsTree {
+                        ls_picks += 1;
+                        reference = SamplerKind::RsTree;
+                    }
+                    assert_eq!(
+                        recommend(&inp, mode),
+                        reference,
+                        "n={n} q={q} k={k} {mode:?}"
+                    );
+                }
+            }
+        }
+        assert!(ls_picks > 0, "the grid never reaches an LS-tree pick");
     }
 
     #[test]

@@ -61,7 +61,6 @@ impl<const D: usize> LsTree<D> {
                 .iter()
                 .filter(|it| level_of(it.id, salt) >= level_u32(i))
                 .copied()
-                // storm-analyzer: allow(A4): bulk-load construction — one level subset per build, never per draw
                 .collect();
             levels.push(RTree::bulk_load_with_io(
                 subset,

@@ -3,12 +3,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rand::Rng;
 use storm_connector::StRecord;
-use storm_core::{FrozenRsTree, LsTree, RsTree, RsTreeConfig};
+use storm_core::FrozenRsTree;
 use storm_geo::{Point2, Rect2, StPoint};
 use storm_query::DatasetStats;
-use storm_rtree::{Item, RTreeConfig};
+use storm_rtree::{BulkMethod, Item, RTree, RTreeConfig};
 use storm_store::{Collection, DocId};
 
 /// Per-data-set configuration.
@@ -16,9 +15,6 @@ use storm_store::{Collection, DocId};
 pub struct DatasetConfig {
     /// R-tree fanout / block size `B`.
     pub fanout: usize,
-    /// Whether to maintain the LS-tree forest alongside the RS-tree
-    /// (costs ~2× index memory; required for `METHOD lstree`).
-    pub enable_ls: bool,
     /// The record field holding short text (for `TERMS`).
     pub text_field: Option<String>,
     /// The record field identifying the user/entity (for `TRAJECTORY`).
@@ -29,7 +25,6 @@ impl Default for DatasetConfig {
     fn default() -> Self {
         DatasetConfig {
             fanout: 64,
-            enable_ls: true,
             text_field: Some("text".into()),
             user_field: Some("user".into()),
         }
@@ -37,7 +32,7 @@ impl Default for DatasetConfig {
 }
 
 /// One imported data set: the document collection, the raw scan file, and
-/// the sampling indexes.
+/// the spatio-temporal index with its frozen snapshot.
 #[derive(Debug)]
 pub struct Dataset {
     name: String,
@@ -46,54 +41,44 @@ pub struct Dataset {
     pub(crate) items: Vec<Item<3>>,
     /// id → position in `items` (for O(1) delete).
     item_pos: HashMap<u64, usize>,
-    pub(crate) rs: RsTree<3>,
-    pub(crate) ls: Option<LsTree<3>>,
-    /// Read-optimized snapshot of `rs` serving RS-tree sampling plans;
+    /// The one mutable index: a Hilbert R-tree with subtree counts, kept in
+    /// step with the scan file by every update. QueryFirst and RandomPath
+    /// walk it; the RS-tree plans sample its frozen snapshot.
+    pub(crate) tree: RTree<3>,
+    /// Read-optimized snapshot of `tree` serving RS-tree sampling plans;
     /// invalidated by updates and rebuilt on the next query.
     pub(crate) frozen: Option<Arc<FrozenRsTree<3>>>,
     pub(crate) cfg: DatasetConfig,
     /// Cached 2-D extent (grow-only; queries use it for defaults).
     bounds2: Option<Rect2>,
+    /// Mutation counter driving the sampled debug audit cadence.
+    #[cfg(debug_assertions)]
+    audit_ops: u64,
 }
 
 impl Dataset {
     /// Builds a data set from mapped records.
     pub fn build(name: impl Into<String>, records: Vec<StRecord>, cfg: DatasetConfig) -> Self {
         let name = name.into();
-        let mut collection = Collection::with_block_size(&name, cfg.fanout);
-        let mut items = Vec::with_capacity(records.len());
-        let mut item_pos = HashMap::with_capacity(records.len());
-        let mut bounds2: Option<Rect2> = None;
-        for record in records {
-            let id = collection.insert(record.body);
-            let item = Item::new(record.point.to_point3(), id.0);
-            item_pos.insert(id.0, items.len());
-            items.push(item);
-            bounds2 = Some(match bounds2 {
-                None => Rect2::from_point(record.point.xy),
-                Some(b) => b.enlarged_to_point(&record.point.xy),
-            });
-        }
-        let rs = RsTree::bulk_load(items.clone(), RsTreeConfig::with_fanout(cfg.fanout));
-        let ls = cfg.enable_ls.then(|| {
-            LsTree::bulk_load(
-                items.clone(),
-                RTreeConfig::with_fanout(cfg.fanout),
-                0x5702_u64,
-            )
-        });
-        let frozen = Some(Arc::new(rs.freeze()));
-        Dataset {
+        let tree_cfg = RTreeConfig::with_fanout(cfg.fanout);
+        let mut ds = Dataset {
+            collection: Collection::with_block_size(&name, cfg.fanout),
             name,
-            collection,
-            items,
-            item_pos,
-            rs,
-            ls,
-            frozen,
+            items: Vec::with_capacity(records.len()),
+            item_pos: HashMap::with_capacity(records.len()),
+            tree: RTree::new(tree_cfg),
+            frozen: None,
             cfg,
-            bounds2,
+            bounds2: None,
+            #[cfg(debug_assertions)]
+            audit_ops: 0,
+        };
+        for record in records {
+            ds.store(record);
         }
+        ds.tree = RTree::bulk_load(ds.items.clone(), tree_cfg, BulkMethod::Hilbert);
+        ds.ensure_frozen();
+        ds
     }
 
     /// The data set name.
@@ -127,14 +112,14 @@ impl Dataset {
         DatasetStats {
             n: self.items.len(),
             bounds: self.bounds2(),
-            height: self.rs.tree().height(),
+            height: self.tree.height(),
             block: self.cfg.fanout,
         }
     }
 
-    /// The RS-tree (always present).
-    pub fn rs(&self) -> &RsTree<3> {
-        &self.rs
+    /// The spatio-temporal index.
+    pub fn tree(&self) -> &RTree<3> {
+        &self.tree
     }
 
     /// The frozen RS-tree snapshot, rebuilding it if an update
@@ -143,7 +128,7 @@ impl Dataset {
         if let Some(frozen) = &self.frozen {
             return Arc::clone(frozen);
         }
-        let frozen = Arc::new(self.rs.freeze());
+        let frozen = Arc::new(FrozenRsTree::new(self.tree.freeze()));
         self.frozen = Some(Arc::clone(&frozen));
         frozen
     }
@@ -151,11 +136,6 @@ impl Dataset {
     /// The frozen snapshot if it is current (no rebuild).
     pub fn frozen(&self) -> Option<&Arc<FrozenRsTree<3>>> {
         self.frozen.as_ref()
-    }
-
-    /// The LS forest, if enabled.
-    pub fn ls(&self) -> Option<&LsTree<3>> {
-        self.ls.as_ref()
     }
 
     /// The raw item array (the SampleFirst scan file).
@@ -190,27 +170,33 @@ impl Dataset {
         Some(self.collection.get(DocId(id))?.text(field)?.to_owned())
     }
 
-    /// Inserts one record through the update manager: storage, scan file,
-    /// and every index stay in sync (paper §4.2 "updates").
-    pub fn insert(&mut self, record: StRecord, rng: &mut dyn Rng) -> DocId {
+    /// Stores a record in the collection and the scan file (not the index)
+    /// and grows the extent.
+    fn store(&mut self, record: StRecord) -> Item<3> {
         let id = self.collection.insert(record.body);
         let item = Item::new(record.point.to_point3(), id.0);
         self.item_pos.insert(id.0, self.items.len());
         self.items.push(item);
-        self.rs.insert(item, rng);
-        self.frozen = None;
-        if let Some(ls) = &mut self.ls {
-            ls.insert(item);
-        }
+        let xy = record.point.xy;
         self.bounds2 = Some(match self.bounds2 {
-            None => Rect2::from_point(record.point.xy),
-            Some(b) => b.enlarged_to_point(&record.point.xy),
+            None => Rect2::from_point(xy),
+            Some(b) => b.enlarged_to_point(&xy),
         });
-        id
+        item
+    }
+
+    /// Inserts one record through the update manager: storage, scan file
+    /// and index stay in sync (paper §4.2 "updates").
+    pub fn insert(&mut self, record: StRecord) -> DocId {
+        let item = self.store(record);
+        self.tree.insert(item);
+        self.frozen = None;
+        self.debug_audit();
+        DocId(item.id)
     }
 
     /// Removes one record everywhere. Returns `false` for unknown ids.
-    pub fn remove(&mut self, id: DocId, rng: &mut dyn Rng) -> bool {
+    pub fn remove(&mut self, id: DocId) -> bool {
         let Some(pos) = self.item_pos.remove(&id.0) else {
             return false;
         };
@@ -219,14 +205,36 @@ impl Dataset {
             self.item_pos.insert(moved.id, pos);
         }
         self.collection.remove(id);
-        let removed_rs = self.rs.remove(&item.point, item.id, rng);
+        let removed = self.tree.remove(&item.point, item.id);
         self.frozen = None;
-        debug_assert!(removed_rs, "index out of sync with scan file");
-        if let Some(ls) = &mut self.ls {
-            let removed_ls = ls.remove(&item.point, item.id);
-            debug_assert!(removed_ls);
-        }
+        debug_assert!(removed, "index out of sync with scan file");
+        self.debug_audit();
         true
+    }
+
+    /// Debug-build audit: re-validates the index after a mutation — every
+    /// mutation while at most 512 records are live, then every 64th, the
+    /// cadence of storm-core's structure audits (each audit is `O(N)`).
+    /// Release builds compile this to nothing.
+    #[inline]
+    fn debug_audit(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            self.audit_ops += 1;
+            if self.items.len() <= 512 || self.audit_ops.is_multiple_of(64) {
+                debug_assert_eq!(
+                    storm_rtree::validate::check(&self.tree),
+                    Ok(()),
+                    "index invariant audit failed after mutation {}",
+                    self.audit_ops
+                );
+                debug_assert_eq!(
+                    self.tree.len(),
+                    self.items.len(),
+                    "index and scan file differ"
+                );
+            }
+        }
     }
 
     /// The stored spatio-temporal point of a record.
@@ -238,14 +246,13 @@ impl Dataset {
 
     /// Exact `|P ∩ Q|` for a 3-D query box, from index counts.
     pub fn exact_count(&self, rect3: &storm_geo::Rect3) -> usize {
-        self.rs.exact_count(rect3)
+        self.tree.count_in(rect3)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
     use storm_store::Value;
 
     fn record(x: f64, y: f64, t: i64, v: f64) -> StRecord {
@@ -277,8 +284,7 @@ mod tests {
     fn build_populates_all_layers() {
         let ds = dataset(100);
         assert_eq!(ds.len(), 100);
-        assert_eq!(ds.rs().len(), 100);
-        assert_eq!(ds.ls().unwrap().len(), 100);
+        assert_eq!(ds.tree().len(), 100);
         assert_eq!(ds.items().len(), 100);
         assert_eq!(ds.collection().len(), 100);
         let stats = ds.stats();
@@ -299,17 +305,14 @@ mod tests {
     #[test]
     fn insert_and_remove_keep_layers_in_sync() {
         let mut ds = dataset(50);
-        let mut rng = StdRng::seed_from_u64(1);
-        let id = ds.insert(record(100.0, 100.0, 999, 42.0), &mut rng);
+        let id = ds.insert(record(100.0, 100.0, 999, 42.0));
         assert_eq!(ds.len(), 51);
-        assert_eq!(ds.rs().len(), 51);
-        assert_eq!(ds.ls().unwrap().len(), 51);
+        assert_eq!(ds.tree().len(), 51);
         assert!(ds.bounds2().contains_point(&Point2::xy(100.0, 100.0)));
-        assert!(ds.remove(id, &mut rng));
-        assert!(!ds.remove(id, &mut rng));
+        assert!(ds.remove(id));
+        assert!(!ds.remove(id));
         assert_eq!(ds.len(), 50);
-        assert_eq!(ds.rs().len(), 50);
-        assert_eq!(ds.ls().unwrap().len(), 50);
+        assert_eq!(ds.tree().len(), 50);
     }
 
     #[test]

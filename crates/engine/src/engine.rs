@@ -4,7 +4,6 @@ use std::collections::HashMap;
 
 use rand::{rngs::StdRng, SeedableRng};
 use storm_connector::{DataSource, FieldMapping, StRecord};
-use storm_core::SamplerKind;
 use storm_query::{plan::plan, Plan, Query};
 use storm_store::DocId;
 
@@ -81,14 +80,8 @@ impl StormEngine {
             }
         }
         let imported = records.len();
-        let ds = Dataset::build(name, records, cfg);
-        self.datasets.insert(name.to_owned(), ds);
+        self.create_dataset(name, records, cfg)?;
         Ok(ImportReport { imported, skipped })
-    }
-
-    /// Registers an already-built data set (used by persistence).
-    pub(crate) fn insert_dataset(&mut self, name: &str, ds: Dataset) {
-        self.datasets.insert(name.to_owned(), ds);
     }
 
     /// Names of all registered data sets.
@@ -105,6 +98,12 @@ impl StormEngine {
             .ok_or_else(|| EngineError::NoSuchDataset(name.to_owned()))
     }
 
+    fn dataset_mut(&mut self, name: &str) -> Result<&mut Dataset, EngineError> {
+        self.datasets
+            .get_mut(name)
+            .ok_or_else(|| EngineError::NoSuchDataset(name.to_owned()))
+    }
+
     /// Installs a fault-injection hook on a data set's storage read path
     /// (chaos/test runs); pass the plan as `Arc<FaultPlan>`. Queries keep
     /// running under faults and report `io_faults` in their outcomes.
@@ -113,31 +112,20 @@ impl StormEngine {
         dataset: &str,
         hook: std::sync::Arc<dyn crate::FaultHook>,
     ) -> Result<(), EngineError> {
-        self.datasets
-            .get_mut(dataset)
-            .ok_or_else(|| EngineError::NoSuchDataset(dataset.to_owned()))?
-            .set_fault_hook(hook);
+        self.dataset_mut(dataset)?.set_fault_hook(hook);
         Ok(())
     }
 
     /// Removes a data set's storage fault hook.
     pub fn clear_fault_hook(&mut self, dataset: &str) -> Result<(), EngineError> {
-        self.datasets
-            .get_mut(dataset)
-            .ok_or_else(|| EngineError::NoSuchDataset(dataset.to_owned()))?
-            .clear_fault_hook();
+        self.dataset_mut(dataset)?.clear_fault_hook();
         Ok(())
     }
 
     /// Inserts one record into a data set (the update manager keeps every
     /// index consistent).
     pub fn insert(&mut self, dataset: &str, record: StRecord) -> Result<DocId, EngineError> {
-        let rng = &mut self.rng;
-        let ds = self
-            .datasets
-            .get_mut(dataset)
-            .ok_or_else(|| EngineError::NoSuchDataset(dataset.to_owned()))?;
-        Ok(ds.insert(record, rng))
+        Ok(self.dataset_mut(dataset)?.insert(record))
     }
 
     /// Inserts a batch of records into a data set — the streaming-ingest
@@ -149,22 +137,13 @@ impl StormEngine {
         dataset: &str,
         records: Vec<StRecord>,
     ) -> Result<Vec<DocId>, EngineError> {
-        let rng = &mut self.rng;
-        let ds = self
-            .datasets
-            .get_mut(dataset)
-            .ok_or_else(|| EngineError::NoSuchDataset(dataset.to_owned()))?;
-        Ok(records.into_iter().map(|r| ds.insert(r, rng)).collect())
+        let ds = self.dataset_mut(dataset)?;
+        Ok(records.into_iter().map(|r| ds.insert(r)).collect())
     }
 
     /// Removes one record from a data set.
     pub fn remove(&mut self, dataset: &str, id: DocId) -> Result<bool, EngineError> {
-        let rng = &mut self.rng;
-        let ds = self
-            .datasets
-            .get_mut(dataset)
-            .ok_or_else(|| EngineError::NoSuchDataset(dataset.to_owned()))?;
-        Ok(ds.remove(id, rng))
+        Ok(self.dataset_mut(dataset)?.remove(id))
     }
 
     /// Parses, plans, and runs a STORM-QL query to completion (no progress
@@ -236,14 +215,7 @@ impl StormEngine {
             plan.q_est, plan.k_est
         );
         let _ = writeln!(out, "estimated I/O cost per method:");
-        for kind in [
-            SamplerKind::QueryFirst,
-            SamplerKind::SampleFirst,
-            SamplerKind::RandomPath,
-            SamplerKind::LsTree,
-            SamplerKind::RsTree,
-        ] {
-            let cost = cost::io_cost(kind, &inputs);
+        for (kind, cost) in cost::scores(&inputs, plan.query.mode) {
             let marker = if kind == plan.sampler {
                 "  ← chosen"
             } else {
@@ -253,6 +225,8 @@ impl StormEngine {
         }
         if plan.query.method.is_some() {
             let _ = writeln!(out, "(method forced by the query's METHOD clause)");
+        } else if plan.k_est >= plan.q_est {
+            let _ = writeln!(out, "(k >= q: the whole result is read, so QueryFirst)");
         }
         Ok(out)
     }
@@ -265,11 +239,7 @@ impl StormEngine {
 }
 
 /// Plans `query` against `ds`: exact `q` from aggregate counts (an
-/// `O(r(N))` count-only pass), then the optimizer's method choice — except
-/// that a planner pick of the LS-tree on a data set built without one
-/// (`enable_ls = false`) is served by the RS-tree's frozen kernel instead.
-/// An explicit `METHOD lstree` is left alone: the executor answers it with
-/// [`EngineError::IndexUnavailable`].
+/// `O(r(N))` count-only pass), then the optimizer's method choice.
 fn plan_on(ds: &Dataset, query: Query) -> Result<Plan, EngineError> {
     let stats = ds.stats();
     let probe = storm_geo::StQuery::new(query.range.unwrap_or(stats.bounds), query.time_range());
@@ -277,11 +247,7 @@ fn plan_on(ds: &Dataset, query: Query) -> Result<Plan, EngineError> {
         Some(rect3) => ds.exact_count(&rect3),
         None => 0,
     };
-    let mut plan = plan(query, &stats, q_est)?;
-    if plan.query.method.is_none() && plan.sampler == SamplerKind::LsTree && ds.ls().is_none() {
-        plan.sampler = SamplerKind::RsTree;
-    }
-    Ok(plan)
+    Ok(plan(query, &stats, q_est)?)
 }
 
 #[cfg(test)]
@@ -384,13 +350,7 @@ mod tests {
     fn every_method_answers_the_same_query() {
         let mut e = engine_with_data(4_000);
         let mut means = Vec::new();
-        for method in [
-            "queryfirst",
-            "samplefirst",
-            "randompath",
-            "lstree",
-            "rstree",
-        ] {
+        for method in ["queryfirst", "samplefirst", "randompath", "rstree"] {
             let outcome = e
                 .execute(&format!(
                     "ESTIMATE AVG(temp) FROM weather RANGE 10 10 80 80 SAMPLES 800 METHOD {method}"
@@ -401,41 +361,14 @@ mod tests {
         for m in &means {
             assert!((m - means[0]).abs() < 1.0, "means diverge: {means:?}");
         }
-    }
-
-    #[test]
-    fn planner_pick_falls_back_to_the_rs_tree_without_an_ls_tree() {
-        // A statement whose optimizer pick is the LS-tree...
-        let ql = "ESTIMATE AVG(temp) FROM weather RANGE 0 0 99 99 SAMPLES 64 MODE wor";
-        let with_ls = engine_with_data(10_000);
-        let pick = with_ls.plan_only(storm_query::parse(ql).unwrap()).unwrap();
-        assert_eq!(pick.sampler, SamplerKind::LsTree, "test premise");
-        // ...is served by the RS-tree on a data set built without one,
-        let mut e = StormEngine::new(42);
-        let cfg = DatasetConfig {
-            fanout: 16,
-            enable_ls: false,
-            ..Default::default()
-        };
-        e.create_dataset("weather", weather_records(10_000), cfg)
-            .unwrap();
-        let outcome = e
-            .execute(ql)
-            .expect("planner pick must not need the LS-tree");
-        assert_eq!(outcome.sampler, SamplerKind::RsTree);
-        assert_eq!(outcome.samples, 64);
-        let planned = e.plan_only(storm_query::parse(ql).unwrap()).unwrap();
-        assert_eq!(
-            planned.sampler,
-            SamplerKind::RsTree,
-            "EXPLAIN shows the fallback"
-        );
-        // while asking for the missing index by name is still an error.
-        let forced = e.execute(&format!("{ql} METHOD lstree"));
-        assert!(
-            matches!(forced, Err(EngineError::IndexUnavailable("LS-tree"))),
-            "{forced:?}"
-        );
+        // The engine keeps no LS-tree: naming it is a plan error in both
+        // modes (a planner pick of it is served by the RS-tree instead).
+        for mode in ["wor", "wr"] {
+            let forced = e.execute(&format!(
+                "ESTIMATE AVG(temp) FROM weather SAMPLES 64 METHOD lstree MODE {mode}"
+            ));
+            assert!(matches!(forced, Err(EngineError::Ql(_))), "{forced:?}");
+        }
     }
 
     #[test]
@@ -675,19 +608,6 @@ mod tests {
         let outcome = e.execute("ESTIMATE AVG(temp) FROM obs").unwrap();
         assert!((outcome.estimate().unwrap().value - 22.0).abs() < 1e-9);
         assert_eq!(outcome.reason, StopReason::Exhausted);
-    }
-
-    #[test]
-    fn same_seed_replays_identically() {
-        let run = || {
-            let mut e = engine_with_data(3_000);
-            e.execute("ESTIMATE AVG(temp) FROM weather SAMPLES 100")
-                .unwrap()
-                .estimate()
-                .unwrap()
-                .value
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

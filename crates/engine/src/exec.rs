@@ -4,10 +4,7 @@
 use std::time::{Duration, Instant};
 
 use rand::Rng;
-use storm_core::{
-    FrozenSampler, LsSampler, QueryFirst, RandomPath, SampleFirst, SampleMode, SamplerKind,
-    SpatialSampler,
-};
+use storm_core::{QueryFirst, RandomPath, SampleFirst, SampleMode, SamplerKind, SpatialSampler};
 use storm_estimators::cluster::OnlineKMeans;
 use storm_estimators::groupby::GroupedMeans;
 use storm_estimators::kde::{KdeEstimator, Kernel};
@@ -56,49 +53,25 @@ fn fetch<'c>(collection: &'c Collection, id: DocId, io_faults: &mut u64) -> Opti
     }
 }
 
-/// One sampler of any method, unified for the executor.
-enum AnySampler<'a> {
-    Qf(QueryFirst<3>),
-    Sf(SampleFirst<'a, 3>),
-    Rp(RandomPath<'a, 3>),
-    Ls(LsSampler<'a, 3>),
-    /// The RS-tree, served by its frozen kernel; owns an `Arc` of the
-    /// snapshot, no borrow of the data set at all.
-    Frz(FrozenSampler<3>),
-}
-
-impl SpatialSampler<3> for AnySampler<'_> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<3>> {
-        match self {
-            AnySampler::Qf(s) => s.next_sample(rng),
-            AnySampler::Sf(s) => s.next_sample(rng),
-            AnySampler::Rp(s) => s.next_sample(rng),
-            AnySampler::Ls(s) => s.next_sample(rng),
-            AnySampler::Frz(s) => s.next_sample(rng),
+/// Reads a sampled record's numeric `field`: `Ok(None)` on a miss, and an
+/// error once 64 misses have come before any value (`seen`) — the field is
+/// probably wrong.
+fn read_number(
+    collection: &Collection,
+    item: Item<3>,
+    field: &str,
+    misses: &mut u64,
+    seen: bool,
+    io_faults: &mut u64,
+) -> Result<Option<f64>, EngineError> {
+    let value = fetch(collection, DocId(item.id), io_faults).and_then(|doc| doc.number(field));
+    if value.is_none() {
+        *misses += 1;
+        if *misses >= 64 && !seen {
+            return Err(EngineError::BadAttribute(field.to_owned()));
         }
     }
-
-    fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<3>>, k: usize) -> usize {
-        // Forward to each method's native batched kernel (the default
-        // trait impl would fall back to one-at-a-time draws).
-        match self {
-            AnySampler::Qf(s) => s.next_batch(rng, buf, k),
-            AnySampler::Sf(s) => s.next_batch(rng, buf, k),
-            AnySampler::Rp(s) => s.next_batch(rng, buf, k),
-            AnySampler::Ls(s) => s.next_batch(rng, buf, k),
-            AnySampler::Frz(s) => s.next_batch(rng, buf, k),
-        }
-    }
-
-    fn kind(&self) -> SamplerKind {
-        match self {
-            AnySampler::Qf(_) => SamplerKind::QueryFirst,
-            AnySampler::Sf(_) => SamplerKind::SampleFirst,
-            AnySampler::Rp(_) => SamplerKind::RandomPath,
-            AnySampler::Ls(_) => SamplerKind::LsTree,
-            AnySampler::Frz(_) => SamplerKind::RsTree,
-        }
-    }
+    Ok(value)
 }
 
 /// Per-task estimator state.
@@ -237,30 +210,15 @@ impl TaskState {
                 misses,
                 ..
             } => {
-                let value =
-                    fetch(collection, DocId(item.id), io_faults).and_then(|doc| doc.number(field));
-                match value {
-                    Some(v) => stat.push(v),
-                    None => {
-                        *misses += 1;
-                        // All misses so far? The field is probably wrong.
-                        if *misses >= 64 && stat.n() == 0 {
-                            return Err(EngineError::BadAttribute(field.clone()));
-                        }
-                    }
+                let seen = stat.n() > 0;
+                if let Some(v) = read_number(collection, item, field, misses, seen, io_faults)? {
+                    stat.push(v);
                 }
             }
             TaskState::Quantile { field, est, misses } => {
-                let value =
-                    fetch(collection, DocId(item.id), io_faults).and_then(|doc| doc.number(field));
-                match value {
-                    Some(v) => est.push(v),
-                    None => {
-                        *misses += 1;
-                        if *misses >= 64 && est.n() == 0 {
-                            return Err(EngineError::BadAttribute(field.clone()));
-                        }
-                    }
+                let seen = est.n() > 0;
+                if let Some(v) = read_number(collection, item, field, misses, seen, io_faults)? {
+                    est.push(v);
                 }
             }
             TaskState::Grouped {
@@ -391,17 +349,13 @@ impl TaskState {
     /// for aggregates and density maps).
     fn rel_error(&self, confidence: f64) -> Option<f64> {
         match self {
-            TaskState::Aggregate { agg, stat, q, .. } => {
-                let estimate = match agg {
-                    AggFunc::Avg => stat.mean_estimate(),
-                    AggFunc::Sum => stat.sum_estimate(*q),
-                    AggFunc::Count => return Some(0.0),
-                    AggFunc::Quantile(_) => unreachable!("separate state"),
-                };
-                Some(estimate.relative_error(confidence))
-            }
-            TaskState::Quantile { est, .. } => {
-                Some(est.clone().estimate(confidence).relative_error(confidence))
+            TaskState::Aggregate { .. } | TaskState::Quantile { .. } => {
+                match self.snapshot(confidence) {
+                    TaskResult::Aggregate { estimate, .. } => {
+                        Some(estimate.relative_error(confidence))
+                    }
+                    _ => None,
+                }
             }
             TaskState::Grouped { means, .. } => {
                 // Converged when every *substantial* group (≥2% of the
@@ -448,14 +402,7 @@ pub(crate) fn run_plan(
 
     // Index + storage I/O baselines (per-query accounting on shared
     // counters).
-    let index_io = match plan.sampler {
-        SamplerKind::LsTree => ds
-            .ls
-            .as_ref()
-            .ok_or(EngineError::IndexUnavailable("LS-tree"))?
-            .io_handle(),
-        _ => ds.rs.tree().io_handle(),
-    };
+    let index_io = ds.tree.io_handle();
     let io_before = index_io.reads() + ds.collection.stats().reads();
 
     // COUNT is exact from aggregate counts — no sampling loop at all.
@@ -485,21 +432,21 @@ pub(crate) fn run_plan(
     // Each arm borrows only the fields its method reads, so the estimator
     // can still read the collection while the stream is open.
     let mode = plan.query.mode;
-    let mut sampler = match plan.sampler {
-        SamplerKind::QueryFirst => AnySampler::Qf(QueryFirst::new(ds.rs.tree(), &rect3, mode)),
-        SamplerKind::SampleFirst => AnySampler::Sf(
-            SampleFirst::new(&ds.items, rect3, mode).with_io(ds.rs.tree().io_handle()),
-        ),
-        SamplerKind::RandomPath => AnySampler::Rp(RandomPath::new(ds.rs.tree(), rect3, mode)),
-        SamplerKind::LsTree => AnySampler::Ls(
-            ds.ls
-                .as_ref()
-                .ok_or(EngineError::IndexUnavailable("LS-tree"))?
-                .sampler(rect3),
-        ),
+    let mut sampler: Box<dyn SpatialSampler<3> + '_> = match plan.sampler {
+        SamplerKind::QueryFirst => Box::new(QueryFirst::new(&ds.tree, &rect3, mode)),
+        SamplerKind::SampleFirst => {
+            Box::new(SampleFirst::new(&ds.items, rect3, mode).with_io(ds.tree.io_handle()))
+        }
+        SamplerKind::RandomPath => Box::new(RandomPath::new(&ds.tree, rect3, mode)),
         // RS-tree plans run the frozen kernel over a snapshot (re)built
         // here if an update invalidated the last one.
-        SamplerKind::RsTree => AnySampler::Frz(ds.ensure_frozen().sampler(&rect3, mode)),
+        SamplerKind::RsTree => Box::new(ds.ensure_frozen().sampler(&rect3, mode)),
+        // The planner refuses `METHOD lstree` and never picks it.
+        _ => {
+            return Err(EngineError::Internal(
+                "plan names a method the engine lacks",
+            ))
+        }
     };
 
     let term = plan.query.termination;

@@ -2,9 +2,10 @@
 //!
 //! This crate wires every substrate into the system of paper Figure 2:
 //!
-//! * [`Dataset`] — records in the storage engine plus the ST-indexing
-//!   structures (an RS-tree always; an LS-tree forest optionally) and the
-//!   raw scan file the `SampleFirst` baseline probes;
+//! * [`Dataset`] — records in the storage engine plus one ST-index (a
+//!   Hilbert R-tree with subtree counts, sampled through its frozen
+//!   RS-tree snapshot) and the raw scan file the `SampleFirst` baseline
+//!   probes;
 //! * [`StormEngine`] — the facade: data import through the connector,
 //!   ad-hoc updates (the update manager), and query execution;
 //! * [`session`] — the online query lifecycle: progressive estimates,

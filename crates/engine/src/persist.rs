@@ -9,7 +9,7 @@ use storm_connector::StRecord;
 use storm_geo::StPoint;
 use storm_store::{json, DocId, Value};
 
-use crate::dataset::{Dataset, DatasetConfig};
+use crate::dataset::DatasetConfig;
 use crate::{EngineError, StormEngine};
 
 /// Reserved keys carrying the indexed location in the persisted format.
@@ -66,48 +66,49 @@ impl StormEngine {
         let mut records = Vec::new();
         for (line_no, line) in reader.lines().enumerate() {
             let line = line.map_err(|e| io_err(&e))?;
-            if line.trim().is_empty() {
-                continue;
+            if !line.trim().is_empty() {
+                records.push(parse_record(&line, line_no + 1)?);
             }
-            let value = json::parse(&line).map_err(|e| {
-                EngineError::Connector(storm_connector::ConnectorError::Parse {
-                    record: line_no + 1,
-                    message: e.to_string(),
-                })
-            })?;
-            let Value::Object(mut map) = value else {
-                return Err(EngineError::Connector(
-                    storm_connector::ConnectorError::Parse {
-                        record: line_no + 1,
-                        message: "expected a JSON object per line".into(),
-                    },
-                ));
-            };
-            let coord = |v: Option<Value>, key: &str| -> Result<f64, EngineError> {
-                v.as_ref().and_then(Value::as_float).ok_or_else(|| {
-                    EngineError::Connector(storm_connector::ConnectorError::MissingField {
-                        record: line_no + 1,
-                        field: key.to_owned(),
-                    })
-                })
-            };
-            let x = coord(map.remove(KEY_X), KEY_X)?;
-            let y = coord(map.remove(KEY_Y), KEY_Y)?;
-            let t = map
-                .remove(KEY_T)
-                .as_ref()
-                .and_then(Value::as_int)
-                .unwrap_or(0);
-            records.push(StRecord {
-                point: StPoint::new(x, y, t),
-                body: Value::Object(map),
-            });
         }
         let n = records.len();
-        let ds = Dataset::build(name, records, cfg);
-        self.insert_dataset(name, ds);
+        self.create_dataset(name, records, cfg)?;
         Ok(n)
     }
+}
+
+/// Parses one saved line back into a record. A present location key must
+/// hold what `save_dataset` writes: a finite number for `_x`/`_y` (a
+/// non-finite one would be saved as `null` and fail the next load), an
+/// integer for `_t`; a missing `_t` means time 0.
+fn parse_record(line: &str, record: usize) -> Result<StRecord, EngineError> {
+    use storm_connector::ConnectorError::{MissingField, Parse};
+    let parse = |message: String| EngineError::Connector(Parse { record, message });
+    let invalid = |key: &str, v: &Value, want: &str| {
+        parse(format!(
+            "'{key}' must be {want}, got {}",
+            json::to_string(v)
+        ))
+    };
+    let Value::Object(mut map) = json::parse(line).map_err(|e| parse(e.to_string()))? else {
+        return Err(parse("expected a JSON object per line".into()));
+    };
+    let mut coord = |key: &str| match map.remove(key) {
+        None => Err(EngineError::Connector(MissingField {
+            record,
+            field: key.to_owned(),
+        })),
+        Some(v) => (v.as_float().filter(|c| c.is_finite()))
+            .ok_or_else(|| invalid(key, &v, "a finite number")),
+    };
+    let (x, y) = (coord(KEY_X)?, coord(KEY_Y)?);
+    let t = match map.remove(KEY_T) {
+        None => 0,
+        Some(v) => v.as_int().ok_or_else(|| invalid(KEY_T, &v, "an integer"))?,
+    };
+    Ok(StRecord {
+        point: StPoint::new(x, y, t),
+        body: Value::Object(map),
+    })
 }
 
 fn io_err(e: &std::io::Error) -> EngineError {
@@ -118,6 +119,7 @@ fn io_err(e: &std::io::Error) -> EngineError {
 mod tests {
     use super::*;
     use crate::session::TaskResult;
+    use storm_connector::ConnectorError;
 
     fn engine_with_data() -> StormEngine {
         let records: Vec<StRecord> = (0..800)
@@ -173,30 +175,51 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_lines_are_reported_with_position() {
-        let path = tmp("corrupt");
-        std::fs::write(&path, "{\"_x\":1.0,\"_y\":2.0,\"_t\":3}\nnot json\n").unwrap();
+    fn bad_lines_are_refused_at_their_line() {
+        // `1e999` parses to +inf: loading it used to succeed, and the data
+        // set's own save (`"_x":null`) then failed to load.
+        assert_eq!(
+            json::parse("1e999").unwrap().as_float(),
+            Some(f64::INFINITY)
+        );
+        let path = tmp("bad-lines");
         let mut e = StormEngine::new(1);
-        match e.load_dataset("bad", &path, DatasetConfig::default()) {
-            Err(EngineError::Connector(storm_connector::ConnectorError::Parse {
-                record, ..
-            })) => assert_eq!(record, 2),
-            other => panic!("unexpected: {other:?}"),
+        for (bad, missing) in [
+            ("not json", false),
+            ("[1.0, 2.0]", false),
+            (r#"{"_x":1e999,"_y":2.0}"#, false),
+            (r#"{"_x":1.0,"_y":-1e999}"#, false),
+            (r#"{"_x":1.0,"_y":"north"}"#, false),
+            (r#"{"_x":1.0,"_y":2.0,"_t":5.0}"#, false),
+            (r#"{"_x":1.0,"_y":2.0,"_t":"x"}"#, false),
+            (r#"{"_x":1.0,"v":1}"#, true),
+        ] {
+            std::fs::write(&path, format!("{{\"_x\":1.0,\"_y\":2.0}}\n{bad}\n")).unwrap();
+            let record = match e.load_dataset("bad", &path, DatasetConfig::default()) {
+                Err(EngineError::Connector(ConnectorError::Parse { record, .. })) if !missing => {
+                    record
+                }
+                Err(EngineError::Connector(ConnectorError::MissingField { record, .. }))
+                    if missing =>
+                {
+                    record
+                }
+                other => panic!("{bad}: {other:?}"),
+            };
+            assert_eq!(record, 2, "{bad}");
         }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn missing_location_keys_fail_cleanly() {
-        let path = tmp("noloc");
-        std::fs::write(&path, "{\"v\":1}\n").unwrap();
-        let mut e = StormEngine::new(1);
-        assert!(matches!(
-            e.load_dataset("bad", &path, DatasetConfig::default()),
-            Err(EngineError::Connector(
-                storm_connector::ConnectorError::MissingField { .. }
-            ))
-        ));
+        // A missing `_t` still means time 0.
+        std::fs::write(&path, "{\"_x\":1.0,\"_y\":2.0}\n").unwrap();
+        assert_eq!(
+            e.load_dataset("ok", &path, DatasetConfig::default())
+                .unwrap(),
+            1
+        );
+        let ds = e.dataset("ok").unwrap();
+        assert_eq!(
+            ds.point_of(DocId(ds.items()[0].id)),
+            Some(StPoint::new(1.0, 2.0, 0))
+        );
         std::fs::remove_file(path).ok();
     }
 
@@ -210,6 +233,23 @@ mod tests {
         assert!(text.contains("chosen"));
         assert!(text.contains("QueryFirst"));
         assert!(text.contains("RS-tree"));
+        assert!(!text.contains("LS-tree"), "{text}");
+        // The rows are the scores the optimizer compared: the chosen row
+        // is the cheapest one printed.
+        let rows: Vec<(f64, bool)> = text
+            .lines()
+            .filter(|l| l.starts_with("  "))
+            .map(|l| {
+                let cost = l.split_whitespace().nth(1).unwrap().parse().unwrap();
+                (cost, l.contains("chosen"))
+            })
+            .collect();
+        assert_eq!(rows.len(), 4, "{text}");
+        let cheapest = rows.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+        assert!(
+            rows.iter().any(|&(c, chosen)| chosen && c == cheapest),
+            "{text}"
+        );
         // Forcing a method is reported.
         let text = e
             .explain("ESTIMATE COUNT FROM src METHOD randompath")

@@ -2,7 +2,7 @@
 //! and choosing the sampling method.
 
 use storm_core::cost::{self, CostInputs};
-use storm_core::{SampleMode, SamplerKind};
+use storm_core::SamplerKind;
 use storm_geo::{Rect2, StQuery};
 
 use crate::ast::{Query, Task};
@@ -62,14 +62,12 @@ pub fn plan(query: Query, stats: &DatasetStats, q_est: usize) -> Result<Plan, Ql
     // Tasks that must see every matching record (exact COUNT via index
     // counts is handled by the executor without sampling at all).
     let sampler = match query.method {
-        Some(kind) => {
-            if kind == SamplerKind::LsTree && query.mode == SampleMode::WithReplacement {
-                return Err(QlError::Plan {
-                    message: "the LS-tree only supports MODE wor".into(),
-                });
-            }
-            kind
+        Some(SamplerKind::LsTree) => {
+            return Err(QlError::Plan {
+                message: "the engine serves no LS-tree; use METHOD rstree".into(),
+            });
         }
+        Some(kind) => kind,
         None => cost::recommend(
             &CostInputs {
                 n: stats.n,
@@ -116,11 +114,7 @@ mod tests {
     fn optimizer_chooses_an_index_method_for_selective_queries() {
         let q = parse("ESTIMATE AVG(alt) FROM osm RANGE 0 0 10 10 SAMPLES 100").unwrap();
         let p = plan(q, &stats(), 1_000_000).unwrap();
-        assert!(
-            matches!(p.sampler, SamplerKind::RsTree | SamplerKind::LsTree),
-            "{:?}",
-            p.sampler
-        );
+        assert_eq!(p.sampler, SamplerKind::RsTree);
         assert_eq!(p.k_est, 100);
     }
 
@@ -132,9 +126,14 @@ mod tests {
     }
 
     #[test]
-    fn ls_with_replacement_is_rejected() {
-        let q = parse("ESTIMATE AVG(alt) FROM osm METHOD lstree MODE wr").unwrap();
-        assert!(plan(q, &stats(), 1000).is_err());
+    fn ls_is_rejected_in_either_mode() {
+        for mode in ["wr", "wor"] {
+            let q = parse(&format!(
+                "ESTIMATE AVG(alt) FROM osm METHOD lstree MODE {mode}"
+            ))
+            .unwrap();
+            assert!(plan(q, &stats(), 1000).is_err(), "MODE {mode}");
+        }
     }
 
     #[test]

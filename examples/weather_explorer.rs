@@ -1,5 +1,5 @@
 //! The MesoWest-style demo: import weather data through the connector
-//! (with schema discovery), then compare all five sampling methods on the
+//! (with schema discovery), then compare four sampling methods on the
 //! same spatio-temporal aggregation.
 //!
 //! ```text
@@ -84,13 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>12} {:>10} {:>10} {:>12} {:>10}",
         "method", "estimate", "±95% CI", "sim-reads", "ms"
     );
-    for method in [
-        "queryfirst",
-        "samplefirst",
-        "randompath",
-        "lstree",
-        "rstree",
-    ] {
+    for method in ["queryfirst", "samplefirst", "randompath", "rstree"] {
         let outcome = engine.execute(&format!(
             "ESTIMATE AVG(temp) FROM mesowest {region} {window} SAMPLES 500 METHOD {method}"
         ))?;
