@@ -225,13 +225,11 @@ pub fn check_selector(sel: &WeightedSelector) -> Result<(), String> {
 /// How large a structure may grow before the per-mutation audit switches
 /// from every operation to a sampled cadence (audits are `O(n log n)`; at
 /// every mutation that compounds to `O(n^2 log n)` over a workload).
-#[cfg(debug_assertions)]
-pub(crate) const AUDIT_EVERY_OP_LIMIT: usize = 512;
+pub const AUDIT_EVERY_OP_LIMIT: usize = 512;
 
 /// Sampled cadence beyond [`AUDIT_EVERY_OP_LIMIT`]: one audit per this many
 /// mutations.
-#[cfg(debug_assertions)]
-pub(crate) const AUDIT_SAMPLE_PERIOD: u64 = 64;
+pub const AUDIT_SAMPLE_PERIOD: u64 = 64;
 
 #[cfg(test)]
 mod tests {

@@ -10,6 +10,8 @@ use storm_query::DatasetStats;
 use storm_rtree::{BulkMethod, Item, RTree, RTreeConfig};
 use storm_store::{Collection, DocId};
 
+use crate::EngineError;
+
 /// Per-data-set configuration.
 #[derive(Debug, Clone)]
 pub struct DatasetConfig {
@@ -57,28 +59,43 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Builds a data set from mapped records.
-    pub fn build(name: impl Into<String>, records: Vec<StRecord>, cfg: DatasetConfig) -> Self {
+    /// Builds a data set from mapped records; refuses the lot if any
+    /// record's location is not finite.
+    pub fn build(
+        name: impl Into<String>,
+        records: Vec<StRecord>,
+        cfg: DatasetConfig,
+    ) -> Result<Self, EngineError> {
         let name = name.into();
-        let tree_cfg = RTreeConfig::with_fanout(cfg.fanout);
-        let mut ds = Dataset {
-            collection: Collection::with_block_size(&name, cfg.fanout),
+        let mut collection = Collection::with_block_size(&name, cfg.fanout);
+        let mut items = Vec::with_capacity(records.len());
+        let mut item_pos = HashMap::with_capacity(records.len());
+        let mut bounds2 = None;
+        for record in records {
+            check_point(&record.point)?;
+            let id = collection.insert(record.body);
+            item_pos.insert(id.0, items.len());
+            items.push(Item::new(record.point.to_point3(), id.0));
+            bounds2 = Some(grown(bounds2, record.point.xy));
+        }
+        let tree = RTree::bulk_load(
+            items.clone(),
+            RTreeConfig::with_fanout(cfg.fanout),
+            BulkMethod::Hilbert,
+        );
+        let frozen = Some(Arc::new(FrozenRsTree::new(tree.freeze())));
+        Ok(Dataset {
             name,
-            items: Vec::with_capacity(records.len()),
-            item_pos: HashMap::with_capacity(records.len()),
-            tree: RTree::new(tree_cfg),
-            frozen: None,
+            collection,
+            items,
+            item_pos,
+            tree,
+            frozen,
             cfg,
-            bounds2: None,
+            bounds2,
             #[cfg(debug_assertions)]
             audit_ops: 0,
-        };
-        for record in records {
-            ds.store(record);
-        }
-        ds.tree = RTree::bulk_load(ds.items.clone(), tree_cfg, BulkMethod::Hilbert);
-        ds.ensure_frozen();
-        ds
+        })
     }
 
     /// The data set name.
@@ -170,29 +187,20 @@ impl Dataset {
         Some(self.collection.get(DocId(id))?.text(field)?.to_owned())
     }
 
-    /// Stores a record in the collection and the scan file (not the index)
-    /// and grows the extent.
-    fn store(&mut self, record: StRecord) -> Item<3> {
+    /// Inserts one record through the update manager: storage, scan file
+    /// and index stay in sync (paper §4.2 "updates"). A record whose
+    /// location is not finite is refused and nothing changes.
+    pub fn insert(&mut self, record: StRecord) -> Result<DocId, EngineError> {
+        check_point(&record.point)?;
         let id = self.collection.insert(record.body);
         let item = Item::new(record.point.to_point3(), id.0);
         self.item_pos.insert(id.0, self.items.len());
         self.items.push(item);
-        let xy = record.point.xy;
-        self.bounds2 = Some(match self.bounds2 {
-            None => Rect2::from_point(xy),
-            Some(b) => b.enlarged_to_point(&xy),
-        });
-        item
-    }
-
-    /// Inserts one record through the update manager: storage, scan file
-    /// and index stay in sync (paper §4.2 "updates").
-    pub fn insert(&mut self, record: StRecord) -> DocId {
-        let item = self.store(record);
+        self.bounds2 = Some(grown(self.bounds2, record.point.xy));
         self.tree.insert(item);
         self.frozen = None;
         self.debug_audit();
-        DocId(item.id)
+        Ok(id)
     }
 
     /// Removes one record everywhere. Returns `false` for unknown ids.
@@ -212,16 +220,18 @@ impl Dataset {
         true
     }
 
-    /// Debug-build audit: re-validates the index after a mutation — every
-    /// mutation while at most 512 records are live, then every 64th, the
-    /// cadence of storm-core's structure audits (each audit is `O(N)`).
-    /// Release builds compile this to nothing.
+    /// Debug-build audit: re-validates the index after a mutation, on the
+    /// cadence of storm-core's structure audits (see
+    /// [`storm_core::validate`]). Release builds compile this to nothing.
     #[inline]
     fn debug_audit(&mut self) {
         #[cfg(debug_assertions)]
         {
+            use storm_core::validate::{AUDIT_EVERY_OP_LIMIT, AUDIT_SAMPLE_PERIOD};
             self.audit_ops += 1;
-            if self.items.len() <= 512 || self.audit_ops.is_multiple_of(64) {
+            if self.items.len() <= AUDIT_EVERY_OP_LIMIT
+                || self.audit_ops.is_multiple_of(AUDIT_SAMPLE_PERIOD)
+            {
                 debug_assert_eq!(
                     storm_rtree::validate::check(&self.tree),
                     Ok(()),
@@ -247,6 +257,24 @@ impl Dataset {
     /// Exact `|P ∩ Q|` for a 3-D query box, from index counts.
     pub fn exact_count(&self, rect3: &storm_geo::Rect3) -> usize {
         self.tree.count_in(rect3)
+    }
+}
+
+/// Refuses a location that is not finite: it would make the extent
+/// infinite for good, and a save would write it as `null`.
+pub(crate) fn check_point(point: &StPoint) -> Result<(), EngineError> {
+    if point.xy.is_finite() {
+        Ok(())
+    } else {
+        Err(EngineError::NonFinitePoint(*point))
+    }
+}
+
+/// `bounds` enlarged to cover `xy`.
+fn grown(bounds: Option<Rect2>, xy: Point2) -> Rect2 {
+    match bounds {
+        None => Rect2::from_point(xy),
+        Some(b) => b.enlarged_to_point(&xy),
     }
 }
 
@@ -278,6 +306,7 @@ mod tests {
                 ..Default::default()
             },
         )
+        .unwrap()
     }
 
     #[test]
@@ -305,7 +334,7 @@ mod tests {
     #[test]
     fn insert_and_remove_keep_layers_in_sync() {
         let mut ds = dataset(50);
-        let id = ds.insert(record(100.0, 100.0, 999, 42.0));
+        let id = ds.insert(record(100.0, 100.0, 999, 42.0)).unwrap();
         assert_eq!(ds.len(), 51);
         assert_eq!(ds.tree().len(), 51);
         assert!(ds.bounds2().contains_point(&Point2::xy(100.0, 100.0)));

@@ -7,7 +7,7 @@ use storm_connector::{DataSource, FieldMapping, StRecord};
 use storm_query::{plan::plan, Plan, Query};
 use storm_store::DocId;
 
-use crate::dataset::{Dataset, DatasetConfig};
+use crate::dataset::{check_point, Dataset, DatasetConfig};
 use crate::exec;
 use crate::session::{CancelToken, Progress, QueryOutcome};
 use crate::EngineError;
@@ -41,7 +41,8 @@ impl StormEngine {
         }
     }
 
-    /// Registers a data set built from already-mapped records.
+    /// Registers a data set built from already-mapped records (refused
+    /// whole if a record's location is not finite).
     pub fn create_dataset(
         &mut self,
         name: &str,
@@ -51,7 +52,7 @@ impl StormEngine {
         if self.datasets.contains_key(name) {
             return Err(EngineError::DatasetExists(name.to_owned()));
         }
-        let ds = Dataset::build(name, records, cfg);
+        let ds = Dataset::build(name, records, cfg)?;
         Ok(self.datasets.entry(name.to_owned()).or_insert(ds))
     }
 
@@ -123,22 +124,24 @@ impl StormEngine {
     }
 
     /// Inserts one record into a data set (the update manager keeps every
-    /// index consistent).
+    /// index consistent); a location that is not finite is refused.
     pub fn insert(&mut self, dataset: &str, record: StRecord) -> Result<DocId, EngineError> {
-        Ok(self.dataset_mut(dataset)?.insert(record))
+        self.dataset_mut(dataset)?.insert(record)
     }
 
     /// Inserts a batch of records into a data set — the streaming-ingest
     /// entry point: a live feed (e.g. `storm_workload::tweets::TweetStream`
     /// arrival batches) is absorbed one batch at a time while queries
-    /// between batches see every record inserted so far.
+    /// between batches see every record inserted so far. A batch holding a
+    /// record whose location is not finite is refused whole.
     pub fn insert_batch(
         &mut self,
         dataset: &str,
         records: Vec<StRecord>,
     ) -> Result<Vec<DocId>, EngineError> {
         let ds = self.dataset_mut(dataset)?;
-        Ok(records.into_iter().map(|r| ds.insert(r)).collect())
+        records.iter().try_for_each(|r| check_point(&r.point))?;
+        records.into_iter().map(|r| ds.insert(r)).collect()
     }
 
     /// Removes one record from a data set.
@@ -530,6 +533,42 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_locations_are_refused_and_change_nothing() {
+        let at = |x: f64, y: f64| StRecord {
+            point: StPoint::new(x, y, 0),
+            body: Value::object([("temp".into(), Value::Float(1.0))]),
+        };
+        let mut e = engine_with_data(100);
+        let bounds = e.dataset("weather").unwrap().bounds2();
+        for bad in [
+            at(f64::INFINITY, 1.0),
+            at(1.0, f64::NEG_INFINITY),
+            at(f64::NAN, 1.0),
+        ] {
+            let one = e.insert("weather", bad.clone());
+            assert!(
+                matches!(one, Err(EngineError::NonFinitePoint(_))),
+                "{one:?}"
+            );
+            // A batch is refused whole: its good record is not inserted.
+            let batch = e.insert_batch("weather", vec![at(5.0, 5.0), bad.clone()]);
+            assert!(
+                matches!(batch, Err(EngineError::NonFinitePoint(_))),
+                "{batch:?}"
+            );
+            let built = e.create_dataset("bad", vec![at(5.0, 5.0), bad], DatasetConfig::default());
+            assert!(
+                matches!(built, Err(EngineError::NonFinitePoint(_))),
+                "{built:?}"
+            );
+        }
+        let ds = e.dataset("weather").unwrap();
+        assert_eq!((ds.len(), ds.tree().len()), (100, 100));
+        assert_eq!(ds.bounds2(), bounds);
+        assert_eq!(e.dataset_names(), ["weather"]);
+    }
+
+    #[test]
     fn streamed_tweet_feed_is_queryable_between_batches() {
         use storm_workload::tweets::{TweetConfig, TweetStream};
         // A true streaming scenario: open the synthetic firehose, absorb it
@@ -608,6 +647,19 @@ mod tests {
         let outcome = e.execute("ESTIMATE AVG(temp) FROM obs").unwrap();
         assert!((outcome.estimate().unwrap().value - 22.0).abs() < 1e-9);
         assert_eq!(outcome.reason, StopReason::Exhausted);
+    }
+
+    #[test]
+    fn same_seed_replays_identically() {
+        let run = || {
+            let mut e = engine_with_data(3_000);
+            e.execute("ESTIMATE AVG(temp) FROM weather SAMPLES 100")
+                .unwrap()
+                .estimate()
+                .unwrap()
+                .value
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -53,27 +53,6 @@ fn fetch<'c>(collection: &'c Collection, id: DocId, io_faults: &mut u64) -> Opti
     }
 }
 
-/// Reads a sampled record's numeric `field`: `Ok(None)` on a miss, and an
-/// error once 64 misses have come before any value (`seen`) — the field is
-/// probably wrong.
-fn read_number(
-    collection: &Collection,
-    item: Item<3>,
-    field: &str,
-    misses: &mut u64,
-    seen: bool,
-    io_faults: &mut u64,
-) -> Result<Option<f64>, EngineError> {
-    let value = fetch(collection, DocId(item.id), io_faults).and_then(|doc| doc.number(field));
-    if value.is_none() {
-        *misses += 1;
-        if *misses >= 64 && !seen {
-            return Err(EngineError::BadAttribute(field.to_owned()));
-        }
-    }
-    Ok(value)
-}
-
 /// Per-task estimator state.
 enum TaskState {
     Aggregate {
@@ -210,15 +189,30 @@ impl TaskState {
                 misses,
                 ..
             } => {
-                let seen = stat.n() > 0;
-                if let Some(v) = read_number(collection, item, field, misses, seen, io_faults)? {
-                    stat.push(v);
+                let value =
+                    fetch(collection, DocId(item.id), io_faults).and_then(|doc| doc.number(field));
+                match value {
+                    Some(v) => stat.push(v),
+                    None => {
+                        *misses += 1;
+                        // All misses so far? The field is probably wrong.
+                        if *misses >= 64 && stat.n() == 0 {
+                            return Err(EngineError::BadAttribute(field.clone()));
+                        }
+                    }
                 }
             }
             TaskState::Quantile { field, est, misses } => {
-                let seen = est.n() > 0;
-                if let Some(v) = read_number(collection, item, field, misses, seen, io_faults)? {
-                    est.push(v);
+                let value =
+                    fetch(collection, DocId(item.id), io_faults).and_then(|doc| doc.number(field));
+                match value {
+                    Some(v) => est.push(v),
+                    None => {
+                        *misses += 1;
+                        if *misses >= 64 && est.n() == 0 {
+                            return Err(EngineError::BadAttribute(field.clone()));
+                        }
+                    }
                 }
             }
             TaskState::Grouped {
@@ -349,13 +343,17 @@ impl TaskState {
     /// for aggregates and density maps).
     fn rel_error(&self, confidence: f64) -> Option<f64> {
         match self {
-            TaskState::Aggregate { .. } | TaskState::Quantile { .. } => {
-                match self.snapshot(confidence) {
-                    TaskResult::Aggregate { estimate, .. } => {
-                        Some(estimate.relative_error(confidence))
-                    }
-                    _ => None,
-                }
+            TaskState::Aggregate { agg, stat, q, .. } => {
+                let estimate = match agg {
+                    AggFunc::Avg => stat.mean_estimate(),
+                    AggFunc::Sum => stat.sum_estimate(*q),
+                    AggFunc::Count => return Some(0.0),
+                    AggFunc::Quantile(_) => unreachable!("separate state"),
+                };
+                Some(estimate.relative_error(confidence))
+            }
+            TaskState::Quantile { est, .. } => {
+                Some(est.clone().estimate(confidence).relative_error(confidence))
             }
             TaskState::Grouped { means, .. } => {
                 // Converged when every *substantial* group (≥2% of the

@@ -51,6 +51,8 @@ pub enum EngineError {
     IndexUnavailable(&'static str),
     /// The queried attribute is absent or non-numeric in sampled records.
     BadAttribute(String),
+    /// A record's location is not a finite point.
+    NonFinitePoint(storm_geo::StPoint),
     /// An internal invariant did not hold — a bug surfaced as an error
     /// instead of a panic, so an interactive session survives it.
     Internal(&'static str),
@@ -68,6 +70,9 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::BadAttribute(field) => {
                 write!(f, "attribute '{field}' is missing or non-numeric")
+            }
+            EngineError::NonFinitePoint(p) => {
+                write!(f, "location ({}, {}) is not finite", p.xy.x(), p.xy.y())
             }
             EngineError::Internal(what) => write!(f, "internal error: {what}"),
         }

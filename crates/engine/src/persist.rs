@@ -192,6 +192,7 @@ mod tests {
             (r#"{"_x":1.0,"_y":"north"}"#, false),
             (r#"{"_x":1.0,"_y":2.0,"_t":5.0}"#, false),
             (r#"{"_x":1.0,"_y":2.0,"_t":"x"}"#, false),
+            (r#"{"v":1}"#, true),
             (r#"{"_x":1.0,"v":1}"#, true),
         ] {
             std::fs::write(&path, format!("{{\"_x\":1.0,\"_y\":2.0}}\n{bad}\n")).unwrap();
