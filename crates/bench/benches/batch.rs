@@ -2,8 +2,9 @@
 //! scatter-gather executor: samples/sec vs batch size × shard count.
 //!
 //! Two groups:
-//!   * `batch_kernel` — single-tree RS sampler, `next_batch(k)` vs the
-//!     one-at-a-time loop, isolating the kernel's amortisation.
+//!   * `batch_kernel` — single-tree RS sampler, `next_batch(k)` at
+//!     `k = 1` (the one-at-a-time pull) and larger `k`, isolating the
+//!     kernel's amortisation.
 //!   * `batch_cluster` — sharded stream through the parallel executor vs
 //!     the same coordinator stepping the shards on the caller's thread,
 //!     isolating what the worker threads cost or buy.
@@ -70,8 +71,13 @@ fn batch_cluster(c: &mut Criterion) {
                 seed += 1;
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut s = cluster.sampler(query, SampleMode::WithoutReplacement, seed);
+                let mut one: Vec<Item<2>> = Vec::with_capacity(1);
                 let mut drawn = 0usize;
-                while drawn < DRAW && s.next_sample(&mut rng).is_some() {
+                while drawn < DRAW {
+                    one.clear();
+                    if s.next_batch(&mut rng, &mut one, 1) == 0 {
+                        break;
+                    }
                     drawn += 1;
                 }
                 drawn

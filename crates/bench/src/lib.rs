@@ -245,11 +245,15 @@ pub fn run_fig3b(n: usize, checkpoints_ms: &[f64], seed: u64) -> Vec<Row> {
                 err_sum[i] += (stat.mean() - truth).abs() / truth.abs().max(f64::MIN_POSITIVE);
                 n_sum[i] += stat.n() as f64;
             };
+            // Per-draw pull into one reused slot, so the loop times draws
+            // rather than an allocation per draw.
+            let mut one: Vec<Item<2>> = Vec::with_capacity(1);
             while checkpoint < checkpoints_ms.len() {
-                match sampler.next_sample(&mut rng) {
-                    Some(item) => stat.push(altitudes[item.id as usize]),
-                    None => break,
+                one.clear();
+                if sampler.next_batch(&mut rng, &mut one, 1) == 0 {
+                    break;
                 }
+                stat.push(altitudes[one[0].id as usize]);
                 while checkpoint < checkpoints_ms.len()
                     && start.elapsed().as_secs_f64() * 1e3 >= checkpoints_ms[checkpoint]
                 {
@@ -843,7 +847,8 @@ fn drain_blocks(
 /// series, so the ratio isolates what
 /// the SoA arena + implicit indexing + alias descents buy a single core.
 ///
-/// Points: `kernel-boxed` (per-draw `next_sample` loop, batch column 1),
+/// Points: `kernel-boxed` (per-draw `next_batch(…, 1)` loop into one
+/// reused slot, batch column 1),
 /// then `kernel-frozen` once per entry of `batches` (arena `next_batch`
 /// drains; batch 1 shows the layout win alone, larger batches add the
 /// amortised-dispatch win).
@@ -861,8 +866,13 @@ pub fn run_kernel_bench(n: usize, batches: &[usize], seed: u64) -> Vec<BatchPoin
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5E0);
     let start = Instant::now();
     let mut s = rs.sampler(query, SampleMode::WithoutReplacement);
+    let mut one: Vec<Item<2>> = Vec::with_capacity(1);
     let mut drawn = 0usize;
-    while drawn < total && s.next_sample(&mut rng).is_some() {
+    while drawn < total {
+        one.clear();
+        if s.next_batch(&mut rng, &mut one, 1) == 0 {
+            break;
+        }
         drawn += 1;
     }
     let secs = start.elapsed().as_secs_f64();

@@ -321,6 +321,14 @@ impl<const D: usize> FrozenSampler<D> {
 }
 
 impl<const D: usize> SpatialSampler<D> for FrozenSampler<D> {
+    /// The only `next_sample` override of any sampler. It draws through the
+    /// same kernel as [`Self::next_batch`] (`draw_arena`), so the ids are
+    /// the same; only the I/O ledger differs. This per-draw ledger charges
+    /// one read per `fanout` consecutive draws, while the batch ledger
+    /// charges at least one read per call. [`crate::CompositeSampler`]
+    /// draws from each run through this ledger and the engine's pinned
+    /// `io_reads` come from the batch ledger, so merging the two would move
+    /// one of those counts.
     fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
         let arena = self.draw_arena(rng)?;
         // Arena-block accounting: one read buys a block of `fanout`
@@ -336,10 +344,10 @@ impl<const D: usize> SpatialSampler<D> for FrozenSampler<D> {
         Some(self.rs.tree.item(arena))
     }
 
-    /// Batched draw: the tight-loop kernel. Emits the *identical* sample
-    /// sequence as `k × next_sample` (both spend the RNG the same way);
-    /// the win is one amortised I/O charge per block and no per-call
-    /// state to re-establish.
+    /// The tight-loop kernel. Emits the *identical* sample sequence as
+    /// `k × next_sample` (both spend the RNG the same way); the win is one
+    /// amortised I/O charge per block and no per-call state to
+    /// re-establish.
     fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
         let before = buf.len();
         buf.reserve(k);

@@ -399,7 +399,10 @@ impl<const D: usize> RunStream<D> {
 ///   region, so they are immediately drawable and never double-emitted.
 ///
 /// Delta matching is incremental: each draw checks the delta's atomic
-/// length and scans only the suffix that arrived since the last check.
+/// length and scans only the suffix that arrived since the last check. A
+/// batch is a loop of such draws, each refreshed; a draw from a run is one
+/// [`FrozenSampler`] `next_sample`, charged through that run's per-draw
+/// block ledger.
 #[derive(Debug)]
 pub struct CompositeSampler<const D: usize> {
     epoch: u64,
@@ -427,9 +430,12 @@ impl<const D: usize> CompositeSampler<D> {
             .runs
             .iter()
             .map(|run| {
-                let original = run.exact_count(&query) as u64;
+                let sampler = run.sampler(&query, mode);
+                // The opened cone already holds `|run ∩ Q|`; a frozen
+                // sampler always reports it.
+                let original = sampler.result_size().unwrap_or_default() as u64;
                 RunStream {
-                    sampler: run.sampler(&query, mode),
+                    sampler,
                     original,
                     drawn: 0,
                 }
@@ -548,20 +554,25 @@ impl<const D: usize> CompositeSampler<D> {
 }
 
 impl<const D: usize> SpatialSampler<D> for CompositeSampler<D> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
-        self.refresh();
-        match self.mode {
-            SampleMode::WithReplacement => {
-                if self.live_total() == 0 {
-                    return None;
-                }
-                self.draw_wr(rng)
-            }
-            SampleMode::WithoutReplacement => self.draw_wor(rng),
+    /// Refreshes before every draw, so each draw is uniform over the union
+    /// as it stands at that moment.
+    fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
+        let before = buf.len();
+        while buf.len() - before < k {
+            self.refresh();
+            let item = match self.mode {
+                SampleMode::WithReplacement if self.live_total() == 0 => None,
+                SampleMode::WithReplacement => self.draw_wr(rng),
+                SampleMode::WithoutReplacement => self.draw_wor(rng),
+            };
+            let Some(item) = item else { break };
+            buf.push(item);
         }
         // Delta draws charge no simulated I/O: the delta is the in-memory
         // tier by construction. Run draws charge through each run's own
-        // block ledger (one read per fanout draws, shared `IoStats`).
+        // per-draw block ledger (one read per fanout draws, shared
+        // `IoStats`).
+        buf.len() - before
     }
 
     fn kind(&self) -> SamplerKind {

@@ -6,7 +6,8 @@
 //! the user terminates the query.* Crucially, the sample size `k` is never
 //! given up front — the evaluator keeps pulling samples until an accuracy or
 //! time requirement is met, so every method here exposes a pull-based
-//! [`SpatialSampler::next_sample`].
+//! [`SpatialSampler::next_sample`] — a batch of one of the single draw
+//! body each sampler implements, [`SpatialSampler::next_batch`].
 //!
 //! Five methods are implemented, exactly the ones the paper discusses in
 //! §3.1:
@@ -88,40 +89,40 @@ impl std::fmt::Display for SamplerKind {
             SamplerKind::LsTree => "LS-tree",
             SamplerKind::RsTree => "RS-tree",
         };
-        f.write_str(s)
+        f.pad(s)
     }
 }
 
 /// A spatial online sampler bound to one range query.
 ///
-/// Implementations return one sample per call, indefinitely (with
-/// replacement) or until exhaustion (without replacement). `None` means the
-/// stream has ended: the result set is exhausted, the query is empty, or a
-/// per-call effort budget was hit (SampleFirst on tiny queries).
+/// Implementations return samples indefinitely (with replacement) or until
+/// exhaustion (without replacement). A short batch — or `None` from
+/// [`Self::next_sample`] — means the stream has ended: the result set is
+/// exhausted, the query is empty, or a per-draw effort budget was hit
+/// (SampleFirst on tiny queries).
+///
+/// Each sampler has one draw body, [`Self::next_batch`]; the paper's
+/// one-at-a-time pull ([`Self::next_sample`]) is a batch of one. A batch
+/// of `k` emits the same *distribution* as `k` single draws, so callers
+/// may mix the two freely. For every sampler except the boxed RS-tree it
+/// also emits the same *stream*, whatever the batch sizes; the boxed
+/// RS-tree's grouped pops run buffer refills after the block's part
+/// picks, so its RNG interleaving depends on `k` (DESIGN.md §8.1).
 pub trait SpatialSampler<const D: usize> {
-    /// Draws the next online sample.
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>>;
-
     /// Draws up to `k` samples into `buf`, returning how many were
     /// appended. Fewer than `k` (including 0) means the stream ended.
     ///
     /// This is the batched sampling kernel: implementations amortise
     /// per-draw work — tree descents, buffer-block reads, selector walks —
     /// across the whole block, which is what makes sample generation keep
-    /// up with the estimator loop. The emitted *sequence* must follow the
-    /// same distribution as `k` successive [`Self::next_sample`] calls, so
-    /// callers may mix the two freely. The default implementation is the
-    /// unamortised `k × next_sample` loop, keeping external samplers
-    /// source-compatible.
-    fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
-        let before = buf.len();
-        for _ in 0..k {
-            match self.next_sample(rng) {
-                Some(item) => buf.push(item),
-                None => break,
-            }
-        }
-        buf.len() - before
+    /// up with the estimator loop.
+    fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize;
+
+    /// Draws the next online sample: a batch of one.
+    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
+        let mut one = Vec::with_capacity(1);
+        self.next_batch(rng, &mut one, 1);
+        one.pop()
     }
 
     /// Which method this is.

@@ -285,29 +285,10 @@ impl<const D: usize> LsSampler<'_, D> {
 }
 
 impl<const D: usize> SpatialSampler<D> for LsSampler<'_, D> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
-        if !self.started {
-            self.started = true;
-            if !self.descend(rng) {
-                return None;
-            }
-        }
-        loop {
-            if self.pos < self.buffer.len() {
-                let item = self.buffer[self.pos];
-                self.pos += 1;
-                return Some(item);
-            }
-            if !self.descend(rng) {
-                return None;
-            }
-        }
-    }
-
-    /// Batched draw: copies whole runs of the current level's permutation
-    /// with `extend_from_slice` instead of one bounds-checked element per
-    /// call, descending between runs. Identical output sequence to
-    /// `k × next_sample` (the permutation is fixed once shuffled).
+    /// Copies whole runs of the current level's permutation with
+    /// `extend_from_slice`, descending a level only between runs (the
+    /// permutation is fixed once shuffled, so the stream does not depend
+    /// on the batch sizes).
     fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
         let before = buf.len();
         if !self.started {

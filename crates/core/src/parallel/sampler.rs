@@ -13,8 +13,8 @@ use crate::{SampleMode, SamplerKind, SpatialSampler};
 /// [`Coordinator`] driving one session — open, then `draw → round →
 /// merge` per [`SpatialSampler::next_batch`], then close on drop.
 ///
-/// `next_batch` is the intended entry point (`next_sample` degenerates to
-/// blocks of one and pays a fill round per draw).
+/// `next_batch` is its one draw body; the provided `next_sample` is a
+/// block of one and pays a fill round per draw.
 /// [`SpatialSampler::degraded`] reports any shards written off while the
 /// stream ran. Over a cluster ([`crate::ParallelRsCluster::sampler`]) it
 /// holds only a shared borrow: any number of samplers can stream
@@ -61,14 +61,6 @@ impl<'a> ParallelSampler<'a> {
 }
 
 impl SpatialSampler<2> for ParallelSampler<'_> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<2>> {
-        // A block of one: correct, but the round per draw is exactly what
-        // `next_batch` amortises away.
-        let mut one = Vec::with_capacity(1);
-        self.next_batch(rng, &mut one, 1);
-        one.pop()
-    }
-
     fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<2>>, k: usize) -> usize {
         let rng = &mut *rng;
         let before = buf.len();

@@ -34,33 +34,9 @@ impl<const D: usize> QueryFirst<D> {
 }
 
 impl<const D: usize> SpatialSampler<D> for QueryFirst<D> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
-        let rng = &mut *rng;
-        if self.buffer.is_empty() {
-            return None;
-        }
-        match self.mode {
-            SampleMode::WithReplacement => {
-                let i = rng.random_range(0..self.buffer.len());
-                Some(self.buffer[i])
-            }
-            SampleMode::WithoutReplacement => {
-                if self.next >= self.buffer.len() {
-                    return None;
-                }
-                let j = rng.random_range(self.next..self.buffer.len());
-                self.buffer.swap(self.next, j);
-                let item = self.buffer[self.next];
-                self.next += 1;
-                Some(item)
-            }
-        }
-    }
-
-    /// Batched draw over the materialised buffer: hoists the mode dispatch
-    /// and bounds bookkeeping out of the per-sample loop. Without
-    /// replacement this is a straight run of the lazy Fisher–Yates shuffle,
-    /// so the output sequence is identical to `k × next_sample`.
+    /// Draws over the materialised buffer with the mode dispatch and
+    /// bounds bookkeeping hoisted out of the per-sample loop. Without
+    /// replacement this is a straight run of the lazy Fisher–Yates shuffle.
     fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
         let rng = &mut *rng;
         if self.buffer.is_empty() {

@@ -31,7 +31,7 @@ pub struct RandomPath<'a, const D: usize> {
     attempt_budget: usize,
 }
 
-/// Default number of root-to-leaf attempts one `next_sample` call may spend.
+/// Default number of root-to-leaf attempts one sample may spend.
 pub const DEFAULT_ATTEMPT_BUDGET: usize = 100_000;
 
 impl<'a, const D: usize> RandomPath<'a, D> {
@@ -46,7 +46,7 @@ impl<'a, const D: usize> RandomPath<'a, D> {
         }
     }
 
-    /// Sets the per-call attempt budget (guards empty/exhausted queries).
+    /// Sets the per-sample attempt budget (guards empty/exhausted queries).
     #[must_use]
     pub fn with_attempt_budget(mut self, budget: usize) -> Self {
         self.attempt_budget = budget.max(1);
@@ -109,21 +109,23 @@ impl<'a, const D: usize> RandomPath<'a, D> {
 }
 
 impl<const D: usize> SpatialSampler<D> for RandomPath<'_, D> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
-        for _ in 0..self.attempt_budget {
-            let Some(item) = self.walk(rng) else {
-                continue;
-            };
-            match self.mode {
-                SampleMode::WithReplacement => return Some(item),
-                SampleMode::WithoutReplacement => {
-                    if self.seen.insert(item.id) {
-                        return Some(item);
-                    }
+    /// Walks until each sample is accepted, with one attempt budget per
+    /// sample; an exhausted budget ends the stream.
+    fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
+        let before = buf.len();
+        'draws: while buf.len() - before < k {
+            for _ in 0..self.attempt_budget {
+                let Some(item) = self.walk(rng) else {
+                    continue;
+                };
+                if self.mode == SampleMode::WithReplacement || self.seen.insert(item.id) {
+                    buf.push(item);
+                    continue 'draws;
                 }
             }
+            break;
         }
-        None
+        buf.len() - before
     }
 
     fn kind(&self) -> SamplerKind {

@@ -251,42 +251,13 @@ impl<const D: usize> RsTree<D> {
         }
     }
 
-    /// Pops one not-yet-`seen` sample of `P(u)`, refilling `S(u)` when dry.
-    ///
-    /// Reading the buffer is charged as one block access; refills charge
-    /// their descent/materialisation reads through the tree.
-    fn pop_from_node(
-        &mut self,
-        u: NodeId,
-        rng: &mut dyn Rng,
-        seen: &HashSet<u64>,
-    ) -> Option<Item<D>> {
-        self.tree.io().record_reads(1);
-        loop {
-            match self.buffers.entry(u).or_default().pop() {
-                Some(item) if !seen.contains(&item.id) => return Some(item),
-                Some(_) => continue, // consumed stale entry
-                None => {
-                    // Refill in place, reusing the drained vector's
-                    // allocation.
-                    let mut fresh = self.buffers.remove(&u).unwrap_or_default();
-                    self.fill_buffer_into(u, rng, seen, &mut fresh);
-                    if fresh.is_empty() {
-                        return None;
-                    }
-                    self.buffers.insert(u, fresh);
-                }
-            }
-        }
-    }
-
     /// Pops up to `n` not-yet-`seen` samples of `P(u)` into `out`, marking
     /// each popped id as seen. Returns how many were appended.
     ///
-    /// This is the batched analogue of [`RsTree::pop_from_node`]: the whole
-    /// run over one buffer costs a single block read (plus one per refill),
-    /// instead of one read per popped sample — the I/O amortisation that
-    /// makes `next_batch` worth having.
+    /// The whole run over one buffer costs a single block read (plus one
+    /// per refill), instead of one read per popped sample — the I/O
+    /// amortisation that makes batched draws worth having. Refills
+    /// `S(u)` in place when it runs dry.
     fn pop_many_from_node(
         &mut self,
         u: NodeId,
@@ -519,85 +490,19 @@ pub struct RsSampler<'a, const D: usize> {
 }
 
 impl<const D: usize> SpatialSampler<D> for RsSampler<'_, D> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
-        let selector = self.selector.as_ref()?;
-        let rng2 = &mut *rng;
-        match self.mode {
-            SampleMode::WithReplacement => {
-                // Independent draws: part ∝ count, then an exact uniform
-                // element of the part (descent; buffers are not consumed so
-                // repeated draws stay independent).
-                let i = selector.pick(rng2);
-                match self.parts[i] {
-                    Part::Single(item) => Some(item),
-                    Part::Node(u) => self.rs.descend_uniform(u, rng2),
-                }
-            }
-            SampleMode::WithoutReplacement => {
-                let mut spins = 0u64;
-                loop {
-                    spins += 1;
-                    assert!(
-                        spins <= 100_000_000,
-                        "RS-tree WOR sampling failed to make progress \
-                         (remaining {} of {}; {} parts)",
-                        self.total_remaining,
-                        self.total,
-                        self.parts.len()
-                    );
-                    if self.total_remaining == 0 {
-                        return None;
-                    }
-                    let i = selector.pick(rng2);
-                    // Dynamic thinning: the static selector draws ∝ the
-                    // original count; accepting with probability
-                    // remaining/original makes the effective weight the
-                    // *remaining* count, which is what keeps the stream
-                    // uniform over the unseen points.
-                    let original = selector.weight(i);
-                    let rem = self.remaining[i];
-                    if rem == 0 {
-                        continue;
-                    }
-                    if rem < original && rng2.random_range(0..original) >= rem {
-                        continue;
-                    }
-                    let item = match self.parts[i] {
-                        Part::Single(item) => item,
-                        Part::Node(u) => match self.rs.pop_from_node(u, rng2, &self.seen) {
-                            Some(item) => item,
-                            None => {
-                                // Defensive: bookkeeping says points remain
-                                // but the subtree is exhausted (possible
-                                // when a refill's distinct-draw attempt cap
-                                // is hit on a nearly-consumed subtree).
-                                self.total_remaining -= self.remaining[i];
-                                self.remaining[i] = 0;
-                                continue;
-                            }
-                        },
-                    };
-                    self.remaining[i] -= 1;
-                    self.total_remaining -= 1;
-                    self.seen.insert(item.id);
-                    return Some(item);
-                }
-            }
-        }
-    }
-
-    /// Batched draw: groups the block's work by canonical part so each
-    /// part's samples are popped in one run (one buffer-block read per run
-    /// instead of one per sample), then merges the runs back in draw order.
+    /// Groups the block's work by canonical part so each part's samples
+    /// are popped in one run (one buffer-block read per run instead of one
+    /// per sample), then merges the runs back in draw order.
     ///
-    /// Distribution equivalence with `k × next_sample`: phase 1 draws the
-    /// *part sequence* with exactly the sequential bookkeeping (static
-    /// selector + dynamic thinning + remaining-count decrements), consuming
-    /// the same decisions a one-at-a-time loop would make. Conditioned on
-    /// that sequence, without-replacement pops within one part are uniform
-    /// over its remaining points, so popping them grouped and re-ordering by
-    /// the drawn sequence yields the same joint distribution as interleaved
-    /// draw-then-pop.
+    /// Distribution equivalence with `k` blocks of one: phase 1 draws the
+    /// *part sequence* with the per-draw bookkeeping (static selector +
+    /// dynamic thinning + remaining-count decrements), making the same
+    /// decisions a one-at-a-time loop would make. Conditioned on that
+    /// sequence, without-replacement pops within one part are uniform over
+    /// its remaining points, so popping them grouped and re-ordering by the
+    /// drawn sequence yields the same joint distribution as interleaved
+    /// draw-then-pop. The RNG interleaving is not the same: a refill runs
+    /// after the block's part picks, so the stream depends on `k`.
     fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
         let Some(selector) = self.selector.as_ref() else {
             return 0;
@@ -606,9 +511,9 @@ impl<const D: usize> SpatialSampler<D> for RsSampler<'_, D> {
         let before = buf.len();
         match self.mode {
             SampleMode::WithReplacement => {
-                // Independent draws; nothing to merge. The win over
-                // next_sample is the hoisted selector borrow and the
-                // caller's reused buffer.
+                // Independent draws: part ∝ count, then an exact uniform
+                // element of the part (descent; buffers are not consumed so
+                // repeated draws stay independent). Nothing to merge.
                 buf.reserve(k);
                 for _ in 0..k {
                     let i = selector.pick(rng);
@@ -636,8 +541,11 @@ impl<const D: usize> SpatialSampler<D> for RsSampler<'_, D> {
                     groups.clear();
                     index.clear();
                     pop.clear();
-                    // Phase 1: draw the part sequence with the sequential
-                    // stream's exact bookkeeping.
+                    // Phase 1: draw the part sequence. Dynamic thinning:
+                    // the static selector draws ∝ the original count;
+                    // accepting with probability remaining/original makes
+                    // the effective weight the *remaining* count, which is
+                    // what keeps the stream uniform over the unseen points.
                     let mut spins = 0u64;
                     while seq.len() < want && self.total_remaining > 0 {
                         spins += 1;
@@ -693,9 +601,10 @@ impl<const D: usize> SpatialSampler<D> for RsSampler<'_, D> {
                                     &mut pop,
                                 );
                                 if g.len < g.need {
-                                    // Subtree exhausted despite the counts:
-                                    // same defensive zeroing as the
-                                    // sequential stream.
+                                    // Defensive: the counts say points
+                                    // remain but the subtree is exhausted
+                                    // (a refill's distinct-draw attempt cap
+                                    // hit on a nearly-consumed subtree).
                                     self.total_remaining -= self.remaining[g.part];
                                     self.remaining[g.part] = 0;
                                 }

@@ -15,8 +15,8 @@ use crate::{SampleMode, SamplerKind, SpatialSampler};
 /// Expected `O(N/q)` probes per sample — excellent when the query covers a
 /// large constant fraction of `P`, catastrophic for selective queries, and
 /// non-terminating when `q = 0`. The non-termination hazard is made finite
-/// here by a per-call probe budget ([`SampleFirst::with_probe_budget`]);
-/// hitting the budget ends the stream with `None`.
+/// here by a per-sample probe budget ([`SampleFirst::with_probe_budget`]);
+/// hitting the budget ends the stream.
 ///
 /// The sampler reads records directly from the base data (a flat scan file
 /// in STORM's storage engine), so each probe is charged as one block read
@@ -31,7 +31,8 @@ pub struct SampleFirst<'a, const D: usize> {
     seen: HashSet<u64>,
 }
 
-/// Default number of probes one `next_sample` call may spend.
+/// Default number of probes one sample may spend; a batch of `k` shares
+/// `k` times this budget.
 pub const DEFAULT_PROBE_BUDGET: usize = 1_000_000;
 
 impl<'a, const D: usize> SampleFirst<'a, D> {
@@ -47,7 +48,7 @@ impl<'a, const D: usize> SampleFirst<'a, D> {
         }
     }
 
-    /// Sets the per-call probe budget (the divergence guard).
+    /// Sets the per-sample probe budget (the divergence guard).
     #[must_use]
     pub fn with_probe_budget(mut self, budget: usize) -> Self {
         self.probe_budget = budget.max(1);
@@ -63,38 +64,9 @@ impl<'a, const D: usize> SampleFirst<'a, D> {
 }
 
 impl<const D: usize> SpatialSampler<D> for SampleFirst<'_, D> {
-    fn next_sample(&mut self, rng: &mut dyn Rng) -> Option<Item<D>> {
-        let rng = &mut *rng;
-        if self.data.is_empty() {
-            return None;
-        }
-        if self.mode == SampleMode::WithoutReplacement && self.seen.len() == self.data.len() {
-            return None;
-        }
-        for _ in 0..self.probe_budget {
-            let item = self.data[rng.random_range(0..self.data.len())];
-            if let Some(io) = &self.io {
-                io.record_reads(1);
-            }
-            if !self.query.contains_point(&item.point) {
-                continue;
-            }
-            match self.mode {
-                SampleMode::WithReplacement => return Some(item),
-                SampleMode::WithoutReplacement => {
-                    if self.seen.insert(item.id) {
-                        return Some(item);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Batched draw: runs the probe loop for the whole block, charging the
-    /// I/O counter once per block instead of once per probe (one atomic add
-    /// amortised over up to `k` accepted samples and all their rejected
-    /// probes).
+    /// Runs the probe loop for the whole block, charging the I/O counter
+    /// once per block instead of once per probe (one atomic add amortised
+    /// over up to `k` accepted samples and all their rejected probes).
     fn next_batch(&mut self, rng: &mut dyn Rng, buf: &mut Vec<Item<D>>, k: usize) -> usize {
         let rng = &mut *rng;
         if self.data.is_empty() {

@@ -246,6 +246,13 @@ mod tests {
             })
             .collect();
         assert_eq!(rows.len(), 4, "{text}");
+        // The method column is padded, so every score ends at one column.
+        let ends: Vec<usize> = text
+            .lines()
+            .filter(|l| l.starts_with("  "))
+            .map(|l| l.trim_end_matches("  ← chosen").chars().count())
+            .collect();
+        assert!(ends.windows(2).all(|w| w[0] == w[1]), "{text}");
         let cheapest = rows.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
         assert!(
             rows.iter().any(|&(c, chosen)| chosen && c == cheapest),
